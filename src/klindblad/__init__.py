@@ -36,7 +36,6 @@ from .ensemble import (
     haar_unitary,
     heisenberg_hamiltonian,
     kossakowski_dimension,
-    rotated_jump_normality,
     sample_kossakowski,
     sample_random_hamiltonian,
     substream,
@@ -53,7 +52,6 @@ from .liouvillian import (
     lambda0_fraction,
     pauli_basis_form,
     real_pauli_form,
-    split_dissipator,
     unitary_pauli_matrix,
 )
 from .perturbation import (
@@ -85,7 +83,6 @@ from .spectral import (
     csr_reference_poisson,
     density_total_variation,
     diagonalize,
-    eigenvalues_only,
     evolve_expectation,
     mode_weight_profile,
     operator_overlap,

@@ -26,11 +26,12 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
+import scipy
 
 from . import __version__
 from .ensemble import (
@@ -38,7 +39,6 @@ from .ensemble import (
     STREAM_HAMILTONIAN,
     STREAM_KOSSAKOWSKI,
     HamiltonianSpec,
-    KossakowskiSample,
     HEISENBERG_PBC,
     RANDOM_ALL_TO_ALL,
     hamiltonian_to_json_dict,
@@ -50,7 +50,6 @@ from .ensemble import (
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError, SpectralAnalysisError
 from .liouvillian import (
-    BASIS_PAULI,
     MAX_SUPEROPERATOR_SITES,
     Superoperator,
     assemble,
@@ -64,10 +63,10 @@ from .liouvillian import (
     unitary_pauli_matrix,
 )
 from .pauli import PauliBasis
-from .perturbation import degenerate_groups, predict
+from .perturbation import predict
 from .spectral import (
     FILTER_IM_POS,
-    FILTER_RE_POS,
+    ClusterReport,
     CsrHistogram,
     Spectrum,
     cluster_by_centers,
@@ -97,7 +96,6 @@ class ExperimentConfig:
     alphas: Optional[tuple[float, ...]] = None
     betas: Optional[tuple[float, ...]] = None
     realizations: int = 1
-    csr_filter: str = FILTER_IM_POS
     exact_h_norm: bool = False
     bins: int = 20
     re_bins: int = 40
@@ -127,6 +125,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown hamiltonian kind {self.hamiltonian!r}")
         if self.alphas is not None and self.betas is not None:
             raise ConfigError("alpha and beta lists are mutually exclusive")
+        for name, values in (("alpha", self.alphas), ("beta", self.betas)):
+            tags = [_tag(v) for v in values or ()]
+            if len(set(tags)) < len(tags):
+                raise ConfigError(
+                    f"{name} values {list(values)} give colliding output names {tags}; "
+                    f"couplings must differ in their first 6 significant digits"
+                )
         if self.realizations < 1:
             raise ConfigError(f"realization count must be positive, got {self.realizations}")
         if min(self.bins, self.re_bins, self.im_bins) < 1:
@@ -183,39 +188,59 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _models(cfg: ExperimentConfig, realization: int) -> tuple[KossakowskiSample, HamiltonianSpec]:
-    """Draw one realization's model, independent of alpha/beta by stream design."""
-    k = sample_kossakowski(
-        cfg.sites, cfg.k_max, rng=substream(cfg.seed, realization, STREAM_KOSSAKOWSKI)
-    )
-    if cfg.hamiltonian == HEISENBERG_PBC:
-        h = heisenberg_hamiltonian(cfg.sites)
-    else:
-        h = sample_random_hamiltonian(
-            cfg.sites,
-            rng=substream(cfg.seed, realization, STREAM_HAMILTONIAN),
-            exact_norm=cfg.exact_h_norm,
-        )
-    return k, h
+class Realization:
+    """One realization's seeded model and the generator parts built from it.
+
+    K and H come from the realization's own substreams, so they do not
+    depend on the coupling list.  L_D and its jump set are built on first
+    use, so a unitary-only run never builds them.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, index: int):
+        self.cfg = cfg
+        self.index = index
+        self.k = sample_kossakowski(cfg.sites, cfg.k_max, rng=self.stream(STREAM_KOSSAKOWSKI))
+        if cfg.hamiltonian == HEISENBERG_PBC:
+            self.h = heisenberg_hamiltonian(cfg.sites)
+        else:
+            self.h = sample_random_hamiltonian(
+                cfg.sites, rng=self.stream(STREAM_HAMILTONIAN), exact_norm=cfg.exact_h_norm
+            )
+        self.l_u = build_unitary_part(self.h, allow_large=cfg.allow_large)
+        self.basis = PauliBasis(cfg.sites)
+
+    def stream(self, purpose: int) -> np.random.Generator:
+        return substream(self.cfg.seed, self.index, purpose)
+
+    @cached_property
+    def l_d(self) -> Superoperator:
+        jumps = jump_operator_set(self.cfg.sites, self.cfg.k_max)
+        return build_dissipator(self.k, jumps, allow_large=self.cfg.allow_large)
+
+    def generator(self, strength: float, form: Callable) -> Superoperator:
+        """``form(strength, L_U, L_D)`` (``assemble`` or ``assemble_weak``) in
+        the Pauli string basis, with the exactly-real matrix for the fast
+        eigensolve."""
+        return self._real_pauli(form(strength, self.l_u, self.l_d))
+
+    def unitary_generator(self) -> Superoperator:
+        return self._real_pauli(self.l_u)
+
+    def _real_pauli(self, sup: Superoperator) -> Superoperator:
+        transformed = pauli_basis_form(sup, self.basis)
+        return replace(transformed, matrix=real_pauli_form(transformed))
+
+    def digests(self) -> dict:
+        return {
+            "kossakowski_sha256": _digest(kossakowski_to_json_dict(self.k)),
+            "hamiltonian_sha256": _digest(hamiltonian_to_json_dict(self.h)),
+        }
 
 
-def _model_digests(k: KossakowskiSample, h: HamiltonianSpec) -> dict:
-    return {
-        "kossakowski_sha256": _digest(kossakowski_to_json_dict(k)),
-        "hamiltonian_sha256": _digest(hamiltonian_to_json_dict(h)),
-    }
-
-
-def _real_pauli(sup: Superoperator, basis: PauliBasis) -> Superoperator:
-    """String-basis form with the exactly-real matrix, for the fast eigensolve."""
-    transformed = pauli_basis_form(sup, basis)
-    return replace(transformed, matrix=real_pauli_form(transformed))
-
-
-def _centers_at(num_sites: int, alpha: float) -> list[tuple[int, float]]:
+def _centers_at(num_sites: int, k_max: int, alpha: float) -> list[tuple[int, float]]:
     """Predicted cluster centers per weight; degenerate sectors keep their
     unperturbed center and merge downstream by exact value."""
-    pred = predict(num_sites)
+    pred = predict(num_sites, k_max)
     centers = []
     for k in range(num_sites + 1):
         if pred.lambda2_means[k] is None:
@@ -296,8 +321,10 @@ def _cluster_payload(report, axis_rescale: Optional[float]) -> dict:
     }
 
 
-def _prediction_rows(num_sites: int, alphas: Sequence[float]) -> tuple[list[str], list[list]]:
-    pred = predict(num_sites)
+def _prediction_rows(
+    num_sites: int, k_max: int, alphas: Sequence[float]
+) -> tuple[list[str], list[list]]:
+    pred = predict(num_sites, k_max)
     header = ["sites", "k", "lambda0", "h_up", "h_down", "lambda2_mean"] + [
         f"center_a{_tag(a)}" for a in alphas
     ]
@@ -318,60 +345,74 @@ def _prediction_rows(num_sites: int, alphas: Sequence[float]) -> tuple[list[str]
     return header, rows
 
 
-def _run_pool(worker: Callable, cfg: ExperimentConfig, count: int) -> list:
-    """Evaluate realizations, merging results in index order regardless of
-    worker completion order."""
+def _realize(analyze: Callable, cfg: ExperimentConfig, index: int) -> tuple[dict, object]:
+    realization = Realization(cfg, index)
+    result = analyze(realization)
+    # digested after the solves: the freed JSON records would otherwise
+    # stay in the small-object heap and raise the worker's peak memory
+    return realization.digests(), result
+
+
+def _run_pool(analyze: Callable, cfg: ExperimentConfig) -> tuple[list[dict], list]:
+    """Run ``analyze`` on every realization; returns the model digests and
+    the results, merged in realization order regardless of worker
+    completion order."""
+    indices = range(cfg.realizations)
     if cfg.workers <= 1:
-        return [worker(cfg, r) for r in range(count)]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = {r: pool.submit(worker, cfg, r) for r in range(count)}
-        return [futures[r].result() for r in range(count)]
+        pairs = [_realize(analyze, cfg, r) for r in indices]
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = [pool.submit(_realize, analyze, cfg, r) for r in indices]
+            pairs = [f.result() for f in futures]
+    return [models for models, _ in pairs], [result for _, result in pairs]
 
 
 # --- spectrum ---------------------------------------------------------------
 
 
-def _spectrum_worker(cfg: ExperimentConfig, realization: int) -> dict:
-    k, h = _models(cfg, realization)
-    jumps = jump_operator_set(cfg.sites, cfg.k_max)
-    l_d = build_dissipator(k, jumps, allow_large=cfg.allow_large)
-    l_u = build_unitary_part(h, allow_large=cfg.allow_large)
-    basis = PauliBasis(cfg.sites)
-    probe = random_weight_operator(basis, 2, substream(cfg.seed, realization, STREAM_ANALYSIS))
-    per_alpha = {}
-    for alpha in cfg.require_alphas():
-        sup = _real_pauli(assemble(alpha, l_u, l_d), basis)
-        spectrum = diagonalize(sup)
-        profiles, norms = _all_profiles(spectrum, basis)
+def _labelled_rows(
+    rz: Realization, alpha: float, spectrum: Spectrum, probe: np.ndarray
+) -> tuple[list[list], ClusterReport]:
+    """Eigenvalue rows labelled by predicted cluster, with weight profiles
+    and probe overlaps when the spectrum carries its right modes."""
+    cfg = rz.cfg
+    profiles = overlaps = None
+    if spectrum.right_modes is not None:
+        profiles, norms = _all_profiles(spectrum, rz.basis)
         overlaps = np.abs(probe @ spectrum.right_modes) / norms
-        report = cluster_by_centers(spectrum.eigenvalues, _centers_at(cfg.sites, alpha))
-        labels = _labels_from_report(report, spectrum.dim)
+    eigs = spectrum.eigenvalues
+    report = cluster_by_centers(eigs, _centers_at(cfg.sites, cfg.k_max, alpha))
+    labels = _labels_from_report(report, spectrum.dim)
+    return _eigen_rows(cfg.seed, alpha, eigs, labels, profiles, overlaps, cfg.sites), report
+
+
+def _spectrum_worker(rz: Realization) -> dict:
+    probe = random_weight_operator(rz.basis, 2, rz.stream(STREAM_ANALYSIS))
+    per_alpha = {}
+    for alpha in rz.cfg.alphas:
+        spectrum = diagonalize(rz.generator(alpha, assemble))
+        rows, report = _labelled_rows(rz, alpha, spectrum, probe)
         rescale = 1.0 / alpha if alpha > 0 else None
-        per_alpha[alpha] = {
-            "rows": _eigen_rows(
-                cfg.seed, alpha, spectrum.eigenvalues, labels, profiles, overlaps, cfg.sites
-            ),
-            "clusters": _cluster_payload(report, rescale),
-        }
-    return {"models": _model_digests(k, h), "per_alpha": per_alpha}
+        per_alpha[alpha] = {"rows": rows, "clusters": _cluster_payload(report, rescale)}
+    return per_alpha
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     alphas = cfg.require_alphas()
     out = OutputTracker(cfg.out)
-    results = _run_pool(_spectrum_worker, cfg, cfg.realizations)
+    models, results = _run_pool(_spectrum_worker, cfg)
     header = _eigen_header(cfg.sites)
-    for r, result in enumerate(results):
+    for r, per_alpha in enumerate(results):
         for alpha in alphas:
-            data = result["per_alpha"][alpha]
+            data = per_alpha[alpha]
             stem = f"r{r:03d}_a{_tag(alpha)}"
             out.write_rows(f"eigenvalues_{stem}.csv", header, data["rows"])
             out.write_json(f"clusters_{stem}.json", data["clusters"])
-    pred_header, pred_rows = _prediction_rows(cfg.sites, alphas)
+    pred_header, pred_rows = _prediction_rows(cfg.sites, cfg.k_max, alphas)
     out.write_rows("predictions.csv", pred_header, pred_rows)
     if cfg.gnuplot:
         out.write_text("plot.gp", _gnuplot_stub(out))
-    _write_manifest(out, cfg, "spectrum", [r["models"] for r in results],
+    _write_manifest(out, cfg, "spectrum", models,
                     {"im": {_tag(a): (1.0 / a if a > 0 else None) for a in alphas}})
     return 0
 
@@ -379,38 +420,32 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 # --- sweep-beta -------------------------------------------------------------
 
 
-def _beta_worker(cfg: ExperimentConfig, realization: int) -> dict:
-    k, h = _models(cfg, realization)
-    jumps = jump_operator_set(cfg.sites, cfg.k_max)
-    l_d = build_dissipator(k, jumps, allow_large=cfg.allow_large)
-    l_u = build_unitary_part(h, allow_large=cfg.allow_large)
-    basis = PauliBasis(cfg.sites)
+def _beta_worker(rz: Realization) -> dict:
     per_beta = {}
-    for beta in cfg.require_betas():
-        sup = _real_pauli(assemble_weak(beta, l_u, l_d), basis)
-        eigs = diagonalize(sup, vectors=False).eigenvalues
+    for beta in rz.cfg.betas:
+        eigs = diagonalize(rz.generator(beta, assemble_weak), vectors=False).eigenvalues
         labels = ["steady" if abs(v) < 1e-8 else _EMPTY for v in eigs]
         per_beta[beta] = {
-            "rows": _eigen_rows(cfg.seed, beta, eigs, labels, None, None, cfg.sites),
+            "rows": _eigen_rows(rz.cfg.seed, beta, eigs, labels, None, None, rz.cfg.sites),
             "mean_re": float(eigs.real.mean()),
             "std_im": float(eigs.imag.std()),
         }
-    return {"models": _model_digests(k, h), "per_beta": per_beta}
+    return per_beta
 
 
 def cmd_sweep_beta(cfg: ExperimentConfig) -> int:
     betas = cfg.require_betas()
     out = OutputTracker(cfg.out)
-    results = _run_pool(_beta_worker, cfg, cfg.realizations)
+    models, results = _run_pool(_beta_worker, cfg)
     header = _eigen_header(cfg.sites)
     summary = []
-    for r, result in enumerate(results):
+    for r, per_beta in enumerate(results):
         for beta in betas:
-            data = result["per_beta"][beta]
+            data = per_beta[beta]
             out.write_rows(f"eigenvalues_r{r:03d}_b{_tag(beta)}.csv", header, data["rows"])
             summary.append([r, _fmt(beta), _fmt(data["mean_re"]), _fmt(data["std_im"])])
     out.write_rows("summary_beta.csv", ["realization", "beta", "mean_re", "std_im"], summary)
-    _write_manifest(out, cfg, "sweep-beta", [r["models"] for r in results],
+    _write_manifest(out, cfg, "sweep-beta", models,
                     {"re": {_tag(b): (1.0 / b if b > 0 else None) for b in betas}})
     return 0
 
@@ -418,29 +453,19 @@ def cmd_sweep_beta(cfg: ExperimentConfig) -> int:
 # --- csr --------------------------------------------------------------------
 
 
-def _csr_worker(cfg: ExperimentConfig, realization: int) -> dict:
-    k, h = _models(cfg, realization)
-    jumps = jump_operator_set(cfg.sites, cfg.k_max)
-    l_u = build_unitary_part(h, allow_large=cfg.allow_large)
-    basis = PauliBasis(cfg.sites)
+def _csr_worker(rz: Realization) -> dict:
+    cfg = rz.cfg
     ratios = {}
-    if cfg.unitary_only:
-        sup = _real_pauli(l_u, basis)
-        eigs = diagonalize(sup, vectors=False).eigenvalues
+    for key in ("unitary",) if cfg.unitary_only else cfg.alphas:
+        eigs = diagonalize(
+            rz.unitary_generator() if key == "unitary" else rz.generator(key, assemble),
+            vectors=False,
+        ).eigenvalues
         hist = complex_spacing_ratios(
-            eigs, cfg.csr_filter, bins=cfg.bins, min_count=cfg.min_ratios
+            eigs, FILTER_IM_POS, bins=cfg.bins, min_count=cfg.min_ratios
         )
-        ratios["unitary"] = hist.ratios
-    else:
-        l_d = build_dissipator(k, jumps, allow_large=cfg.allow_large)
-        for alpha in cfg.require_alphas():
-            sup = _real_pauli(assemble(alpha, l_u, l_d), basis)
-            eigs = diagonalize(sup, vectors=False).eigenvalues
-            hist = complex_spacing_ratios(
-                eigs, cfg.csr_filter, bins=cfg.bins, min_count=cfg.min_ratios
-            )
-            ratios[alpha] = hist.ratios
-    return {"models": _model_digests(k, h), "ratios": ratios}
+        ratios[key] = hist.ratios
+    return ratios
 
 
 def _hist_rows(hist) -> list[list]:
@@ -462,11 +487,12 @@ _HIST_HEADER = ["bin_lo", "bin_hi", "count", "density"]
 
 
 def cmd_csr(cfg: ExperimentConfig) -> int:
+    from scipy.stats import ks_2samp  # only csr needs it, and it is slow to import
+
     if not cfg.unitary_only:
         cfg.require_alphas()
     out = OutputTracker(cfg.out)
-    results = _run_pool(_csr_worker, cfg, cfg.realizations)
-    keys = list(results[0]["ratios"].keys())
+    models, results = _run_pool(_csr_worker, cfg)
     rng = substream(cfg.seed, 0, STREAM_ANALYSIS)
     ginibre = csr_reference_ginibre(128, max(2, cfg.realizations), rng, bins=cfg.bins)
     geometry = "line" if cfg.unitary_only else "disk"
@@ -476,15 +502,15 @@ def cmd_csr(cfg: ExperimentConfig) -> int:
     out.write_rows("csr_ginibre.csv", _HIST_HEADER, _hist_rows(ginibre))
     out.write_rows("csr_poisson.csv", _HIST_HEADER, _hist_rows(poisson))
     summary = {
-        "filter": cfg.csr_filter,
+        "filter": FILTER_IM_POS,
         "bins": cfg.bins,
         "poisson_geometry": geometry,
         "ginibre_mean_ratio": ginibre.mean_ratio,
         "poisson_mean_ratio": poisson.mean_ratio,
         "data": {},
     }
-    for key in keys:
-        pooled = np.concatenate([res["ratios"][key] for res in results])
+    for key in results[0]:
+        pooled = np.concatenate([ratios[key] for ratios in results])
         counts, edges = np.histogram(pooled, bins=cfg.bins, range=(0.0, 1.0))
         hist = CsrHistogram(pooled, edges, counts)
         name = "unitary" if key == "unitary" else f"a{_tag(key)}"
@@ -496,57 +522,39 @@ def cmd_csr(cfg: ExperimentConfig) -> int:
             "ks_vs_poisson": float(ks_2samp(pooled, poisson.ratios).statistic),
         }
     out.write_json("csr_summary.json", summary)
-    _write_manifest(out, cfg, "csr", [r["models"] for r in results], None)
+    _write_manifest(out, cfg, "csr", models, None)
     return 0
 
 
 # --- heisenberg -------------------------------------------------------------
 
 
-def _heisenberg_worker(cfg: ExperimentConfig, realization: int) -> dict:
-    k, h = _models(cfg, realization)
-    jumps = jump_operator_set(cfg.sites, cfg.k_max)
-    l_d = build_dissipator(k, jumps, allow_large=cfg.allow_large)
-    l_u = build_unitary_part(h, allow_large=cfg.allow_large)
-    basis = PauliBasis(cfg.sites)
-    alphas = sorted(cfg.require_alphas())
+def _heisenberg_worker(rz: Realization) -> dict:
+    cfg, basis = rz.cfg, rz.basis
+    alphas = sorted(cfg.alphas)
+    probe = random_weight_operator(basis, 2, rz.stream(STREAM_ANALYSIS))
     sweep = []
-    per_alpha = {}
+    rows = {}
     for alpha in alphas:
-        sup = _real_pauli(assemble(alpha, l_u, l_d), basis)
-        want_vectors = alpha == alphas[-1]
-        spectrum = diagonalize(sup, vectors=want_vectors)
+        # right modes only at the strongest coupling, where persistence is read
+        spectrum = diagonalize(rz.generator(alpha, assemble), vectors=alpha == alphas[-1])
         sweep.append((alpha, spectrum))
-        if want_vectors:
-            profiles, norms = _all_profiles(spectrum, basis)
-            probe = random_weight_operator(
-                basis, 2, substream(cfg.seed, realization, STREAM_ANALYSIS)
-            )
-            overlaps = np.abs(probe @ spectrum.right_modes) / norms
-        else:
-            profiles, overlaps = None, None
-        report = cluster_by_centers(spectrum.eigenvalues, _centers_at(cfg.sites, alpha))
-        labels = _labels_from_report(report, spectrum.dim)
-        per_alpha[alpha] = {
-            "rows": _eigen_rows(
-                cfg.seed, alpha, spectrum.eigenvalues, labels, profiles, overlaps, cfg.sites
-            )
-        }
+        rows[alpha] = _labelled_rows(rz, alpha, spectrum, probe)[0]
 
     h_coeffs = np.zeros(len(basis))
-    for string, coupling in h.coefficients.items():
+    for string, coupling in rz.h.coefficients.items():
         h_coeffs[basis.index_of(string)] = coupling
     refs = [("H", h_coeffs)]
     commutant_dims = {}
     for weight in range(1, cfg.k_max + 1):
-        elements = commutant_basis(h, weight)
+        elements = commutant_basis(rz.h, weight)
         commutant_dims[weight] = int(elements.shape[1])
         sector = basis.sector(weight)
         for i in range(elements.shape[1]):
             emb = np.zeros(len(basis), dtype=complex)
             emb[sector] = elements[:, i]
             refs.append((f"w{weight}_{i}", emb))
-    centers = [(kk, lambda0(kk, cfg.sites)) for kk in range(1, cfg.sites + 1)]
+    centers = [(kk, lambda0(kk, cfg.sites, cfg.k_max)) for kk in range(1, cfg.sites + 1)]
     persistence = persistent_modes(
         sweep,
         basis,
@@ -556,8 +564,7 @@ def _heisenberg_worker(cfg: ExperimentConfig, realization: int) -> dict:
         reference_operators=refs,
     )
     return {
-        "models": _model_digests(k, h),
-        "per_alpha": per_alpha,
+        "rows": rows,
         "commutant_dims": commutant_dims,
         "persistence": _persistence_payload(persistence),
     }
@@ -614,12 +621,12 @@ def cmd_heisenberg(cfg: ExperimentConfig) -> int:
     if len(alphas) < 2:
         raise ConfigError("persistence tracking needs at least 2 alpha values")
     out = OutputTracker(cfg.out)
-    results = _run_pool(_heisenberg_worker, cfg, cfg.realizations)
+    models, results = _run_pool(_heisenberg_worker, cfg)
     header = _eigen_header(cfg.sites)
     for r, result in enumerate(results):
         for alpha in alphas:
             stem = f"r{r:03d}_a{_tag(alpha)}"
-            out.write_rows(f"eigenvalues_{stem}.csv", header, result["per_alpha"][alpha]["rows"])
+            out.write_rows(f"eigenvalues_{stem}.csv", header, result["rows"][alpha])
         out.write_json(f"persistence_r{r:03d}.json", result["persistence"])
     out.write_json(
         "commutant.json",
@@ -628,9 +635,9 @@ def cmd_heisenberg(cfg: ExperimentConfig) -> int:
     basis = PauliBasis(cfg.sites)
     out.write_json("unitary_structure.json", _structure_payload(
         heisenberg_hamiltonian(cfg.sites), basis))
-    pred_header, pred_rows = _prediction_rows(cfg.sites, alphas)
+    pred_header, pred_rows = _prediction_rows(cfg.sites, cfg.k_max, alphas)
     out.write_rows("predictions.csv", pred_header, pred_rows)
-    _write_manifest(out, cfg, "heisenberg", [r["models"] for r in results],
+    _write_manifest(out, cfg, "heisenberg", models,
                     {"im": {_tag(a): (1.0 / a if a > 0 else None) for a in alphas}})
     return 0
 
@@ -638,17 +645,11 @@ def cmd_heisenberg(cfg: ExperimentConfig) -> int:
 # --- density ----------------------------------------------------------------
 
 
-def _density_worker(cfg: ExperimentConfig, realization: int) -> dict:
-    k, h = _models(cfg, realization)
-    jumps = jump_operator_set(cfg.sites, cfg.k_max)
-    l_d = build_dissipator(k, jumps, allow_large=cfg.allow_large)
-    l_u = build_unitary_part(h, allow_large=cfg.allow_large)
-    basis = PauliBasis(cfg.sites)
-    eigs = {}
-    for alpha in cfg.require_alphas():
-        sup = _real_pauli(assemble(alpha, l_u, l_d), basis)
-        eigs[alpha] = diagonalize(sup, vectors=False).eigenvalues
-    return {"models": _model_digests(k, h), "eigs": eigs}
+def _density_worker(rz: Realization) -> dict:
+    return {
+        alpha: diagonalize(rz.generator(alpha, assemble), vectors=False).eigenvalues
+        for alpha in rz.cfg.alphas
+    }
 
 
 def _density_rows(density) -> list[list]:
@@ -679,11 +680,11 @@ def cmd_density(cfg: ExperimentConfig) -> int:
     if cfg.realizations < 2:
         raise ConfigError("density comparison needs at least 2 realizations")
     out = OutputTracker(cfg.out)
-    results = _run_pool(_density_worker, cfg, cfg.realizations)
+    models, results = _run_pool(_density_worker, cfg)
     summary = {}
     for alpha in alphas:
         im_scale = 1.0 / alpha if (cfg.rescale_im and alpha > 0) else 1.0
-        pool = np.concatenate([res["eigs"][alpha] for res in results])
+        pool = np.concatenate([eigs[alpha] for eigs in results])
         scaled = pool.real + 1j * pool.imag * im_scale
         re_range = (float(scaled.real.min()), float(scaled.real.max()))
         im_range = (float(scaled.imag.min()), float(scaled.imag.max()))
@@ -695,7 +696,7 @@ def cmd_density(cfg: ExperimentConfig) -> int:
             pool, cfg.re_bins, cfg.im_bins, re_range, im_range, im_scale=im_scale
         )
         single = spectral_density(
-            results[0]["eigs"][alpha], cfg.re_bins, cfg.im_bins, re_range, im_range,
+            results[0][alpha], cfg.re_bins, cfg.im_bins, re_range, im_range,
             im_scale=im_scale,
         )
         tag = _tag(alpha)
@@ -713,7 +714,7 @@ def cmd_density(cfg: ExperimentConfig) -> int:
     out.write_json("density_summary.json", payload)
     if cfg.gnuplot:
         out.write_text("plot.gp", _gnuplot_stub(out))
-    _write_manifest(out, cfg, "density", [r["models"] for r in results], None)
+    _write_manifest(out, cfg, "density", models, None)
     return 0
 
 
@@ -740,6 +741,7 @@ def _write_manifest(
 ) -> None:
     manifest = {
         "version": __version__,
+        "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
         "command": command,
         "config": asdict(cfg),
         "models": [{"realization": r, **digests} for r, digests in enumerate(models)],
@@ -782,7 +784,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
         p.add_argument("--hamiltonian", choices=[RANDOM_ALL_TO_ALL, HEISENBERG_PBC])
-        p.add_argument("--csr-filter", choices=[FILTER_IM_POS, FILTER_RE_POS], dest="csr_filter")
         p.add_argument("--exact-h-norm", action="store_const", const=True, dest="exact_h_norm")
         p.add_argument("--bins", type=int)
         p.add_argument("--re-bins", type=int, dest="re_bins")

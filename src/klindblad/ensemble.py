@@ -10,7 +10,6 @@ streams.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import sqrt
@@ -18,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pauli import PauliString, enumerate_basis, sector_dimension, to_dense
+from .pauli import PauliString, sector_dimension, to_dense
 
 __all__ = [
     "STREAM_KOSSAKOWSKI",
@@ -36,11 +35,8 @@ __all__ = [
     "sample_random_hamiltonian",
     "heisenberg_hamiltonian",
     "dense_hamiltonian",
-    "rotated_jump_normality",
     "kossakowski_to_json_dict",
-    "kossakowski_from_json_dict",
     "hamiltonian_to_json_dict",
-    "hamiltonian_from_json_dict",
 ]
 
 STREAM_KOSSAKOWSKI = 0
@@ -233,28 +229,11 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     return h
 
 
-def rotated_jump_normality(sample: KossakowskiSample) -> np.ndarray:
-    """Max-norm of [A^dag, A] for each jump combination diagonalizing K.
-
-    Diagonalizing K = sum_nu w_nu v_nu v_nu^dag turns the dissipator into
-    single-channel form with operators A_nu = sum_n (v_nu)_n L_n.  Returns
-    the per-channel commutator residuals of those operators (dense forms).
-    """
-    _, vectors = np.linalg.eigh(sample.k_matrix)
-    strings = enumerate_basis(sample.num_sites, sample.k_max, min_weight=1)
-    norm = sqrt(2.0**sample.num_sites)
-    stack = np.array([to_dense(s) / norm for s in strings])
-    residuals = np.empty(sample.jump_dimension)
-    for nu in range(sample.jump_dimension):
-        a = np.tensordot(vectors[:, nu], stack, axes=(0, 0))
-        residuals[nu] = np.abs(a.conj().T @ a - a @ a.conj().T).max()
-    return residuals
-
-
 # --- JSON serialization -----------------------------------------------------
 #
-# Floats pass through json's repr-based formatting, which round-trips
-# bit-exactly; complex entries are emitted as (row, col, re, im) rows.
+# The records behind the manifest's model digests.  Floats pass through
+# json's repr-based formatting, which is bit-exact; complex entries are
+# emitted as (row, col, re, im) rows.
 
 
 def kossakowski_to_json_dict(sample: KossakowskiSample) -> dict:
@@ -274,22 +253,6 @@ def kossakowski_to_json_dict(sample: KossakowskiSample) -> dict:
     }
 
 
-def kossakowski_from_json_dict(data: dict) -> KossakowskiSample:
-    if data.get("type") != "kossakowski":
-        raise ValueError(f"not a kossakowski record: {data.get('type')!r}")
-    n = kossakowski_dimension(data["num_sites"], data["k_max"])
-    k = np.zeros((n, n), dtype=complex)
-    for r, c, re, im in data["k_matrix"]:
-        k[r, c] = complex(re, im)
-    return KossakowskiSample(
-        data["num_sites"],
-        data["k_max"],
-        k,
-        np.array(data["d_diag"], dtype=float),
-        seed=data["seed"],
-    )
-
-
 def hamiltonian_to_json_dict(spec: HamiltonianSpec) -> dict:
     return {
         "type": "hamiltonian",
@@ -298,18 +261,3 @@ def hamiltonian_to_json_dict(spec: HamiltonianSpec) -> dict:
         "seed": spec.seed,
         "coefficients": [[s.to_label(), float(j)] for s, j in spec.coefficients.items()],
     }
-
-
-def hamiltonian_from_json_dict(data: dict) -> HamiltonianSpec:
-    if data.get("type") != "hamiltonian":
-        raise ValueError(f"not a hamiltonian record: {data.get('type')!r}")
-    coeffs = {PauliString.from_label(label): float(j) for label, j in data["coefficients"]}
-    return HamiltonianSpec(data["num_sites"], data["kind"], coeffs, seed=data["seed"])
-
-
-def model_records_digest(samples: list[dict]) -> str:
-    """Stable digest of serialized model records (seed-independence checks)."""
-    import hashlib
-
-    payload = json.dumps(samples, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()

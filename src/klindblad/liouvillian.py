@@ -16,12 +16,10 @@ MAX_SUPEROPERATOR_SITES unless explicitly overridden.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import sqrt
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from math import comb, sqrt
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,17 +32,11 @@ __all__ = [
     "MAX_SUPEROPERATOR_SITES",
     "BASIS_COMPUTATIONAL",
     "BASIS_PAULI",
-    "PART_FULL",
-    "PART_UNITARY",
-    "PART_DISSIPATOR",
-    "PART_DISSIPATOR_DIAG",
-    "PART_DISSIPATOR_OFFDIAG",
     "JumpOperatorSet",
     "Superoperator",
     "jump_operator_set",
     "build_dissipator",
     "build_unitary_part",
-    "split_dissipator",
     "assemble",
     "assemble_weak",
     "lambda0",
@@ -54,24 +46,12 @@ __all__ = [
     "pauli_basis_form",
     "real_pauli_form",
     "unitary_pauli_matrix",
-    "save_superoperator",
-    "load_superoperator",
 ]
 
 MAX_SUPEROPERATOR_SITES = 6
 
 BASIS_COMPUTATIONAL = "computational"
 BASIS_PAULI = "pauli"
-
-PART_FULL = "full"
-PART_UNITARY = "unitary"
-PART_DISSIPATOR = "dissipator"
-PART_DISSIPATOR_DIAG = "dissipator_diag"
-PART_DISSIPATOR_OFFDIAG = "dissipator_offdiag"
-
-_PARTS = frozenset(
-    {PART_FULL, PART_UNITARY, PART_DISSIPATOR, PART_DISSIPATOR_DIAG, PART_DISSIPATOR_OFFDIAG}
-)
 
 
 def _check_size(num_sites: int, allow_large: bool) -> None:
@@ -126,26 +106,15 @@ def jump_operator_set(num_sites: int, k_max: int = 2) -> JumpOperatorSet:
 
 @dataclass
 class Superoperator:
-    """Dense superoperator matrix tagged with its basis and generator part.
-
-    ``strength`` records the alpha or beta the matrix was assembled with,
-    with ``strength_kind`` saying which convention applies; both stay None
-    for single parts.  ``lineage`` is free-form provenance for file dumps.
-    """
+    """Dense superoperator matrix tagged with its basis."""
 
     num_sites: int
     matrix: np.ndarray
     basis: str = BASIS_COMPUTATIONAL
-    part: str = PART_FULL
-    strength: Optional[float] = None
-    strength_kind: Optional[str] = None
-    lineage: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if self.basis not in (BASIS_COMPUTATIONAL, BASIS_PAULI):
             raise ValueError(f"unknown basis tag {self.basis!r}")
-        if self.part not in _PARTS:
-            raise ValueError(f"unknown part tag {self.part!r}")
         dim = 4**self.num_sites
         if self.matrix.shape != (dim, dim):
             raise ValueError(
@@ -204,7 +173,6 @@ def build_dissipator(
     *,
     validate: bool = True,
     allow_large: bool = False,
-    part: str = PART_DISSIPATOR,
 ) -> Superoperator:
     """Dissipative generator sum_nm K_nm (L_n . L_m^dag - 1/2 {L_m^dag L_n, .}).
 
@@ -225,8 +193,7 @@ def build_dissipator(
     c = np.einsum("nba,nbc->ac", t.conj(), g)
     eye = np.eye(dim)
     m -= 0.5 * (np.kron(eye, c) + np.kron(c.T, eye))
-    seed = k.seed if isinstance(k, KossakowskiSample) else None
-    return Superoperator(jumps.num_sites, m, BASIS_COMPUTATIONAL, part, lineage={"seed": seed})
+    return Superoperator(jumps.num_sites, m)
 
 
 def build_unitary_part(
@@ -237,7 +204,6 @@ def build_unitary_part(
     """Commutator generator -i[H, .] as -i (1 kron H - H^T kron 1)."""
     if isinstance(h, HamiltonianSpec):
         num_sites = h.num_sites
-        seed = h.seed
         h_dense = dense_hamiltonian(h)
     else:
         h_dense = np.asarray(h, dtype=complex)
@@ -246,99 +212,58 @@ def build_unitary_part(
         num_sites = int(h_dense.shape[0]).bit_length() - 1
         if 1 << num_sites != h_dense.shape[0]:
             raise ValueError(f"Hamiltonian dimension {h_dense.shape[0]} is not a power of 2")
-        seed = None
     _check_size(num_sites, allow_large)
     eye = np.eye(h_dense.shape[0])
     m = -1j * (np.kron(eye, h_dense) - np.kron(h_dense.T, eye))
-    return Superoperator(num_sites, m, BASIS_COMPUTATIONAL, PART_UNITARY, lineage={"seed": seed})
-
-
-def split_dissipator(
-    k: KossakowskiSample,
-    jumps: JumpOperatorSet,
-    *,
-    allow_large: bool = False,
-) -> tuple[Superoperator, Superoperator]:
-    """Split into the mean-diagonal part and the fluctuation remainder.
-
-    The first component is built from d * 1 with d = Tr(K) / N_L; it is the
-    piece that is diagonal in the Pauli string basis.  The second comes from
-    K - d * 1 and is traceless.  The two sum back to the full dissipator by
-    linearity.
-    """
-    k_matrix = _coupling_matrix(k, jumps)
-    _validate_coupling(k_matrix)
-    n = len(jumps)
-    d = float(np.trace(k_matrix).real) / n
-    k_diag = d * np.eye(n)
-    diag = build_dissipator(
-        k_diag, jumps, validate=False, allow_large=allow_large, part=PART_DISSIPATOR_DIAG
-    )
-    offdiag = build_dissipator(
-        k_matrix - k_diag,
-        jumps,
-        validate=False,
-        allow_large=allow_large,
-        part=PART_DISSIPATOR_OFFDIAG,
-    )
-    diag.lineage = offdiag.lineage = {"seed": k.seed}
-    return diag, offdiag
+    return Superoperator(num_sites, m)
 
 
 def _combine(
-    unitary: Superoperator,
-    dissipator: Superoperator,
-    u_weight: float,
-    d_weight: float,
-    strength: float,
-    strength_kind: str,
+    unitary: Superoperator, dissipator: Superoperator, u_weight: float, d_weight: float
 ) -> Superoperator:
     if unitary.num_sites != dissipator.num_sites:
         raise ValueError("parts disagree on num_sites")
     if unitary.basis != dissipator.basis:
         raise ValueError(f"parts disagree on basis: {unitary.basis!r} vs {dissipator.basis!r}")
-    if unitary.part != PART_UNITARY:
-        raise ValueError(f"first argument must be the unitary part, got {unitary.part!r}")
-    if dissipator.part not in (PART_DISSIPATOR, PART_DISSIPATOR_DIAG, PART_DISSIPATOR_OFFDIAG):
-        raise ValueError(f"second argument must be a dissipator part, got {dissipator.part!r}")
     matrix = u_weight * unitary.matrix + d_weight * dissipator.matrix
-    return Superoperator(
-        unitary.num_sites,
-        matrix,
-        unitary.basis,
-        PART_FULL,
-        strength=strength,
-        strength_kind=strength_kind,
-        lineage={"unitary": unitary.lineage, "dissipator": dissipator.lineage},
-    )
+    return Superoperator(unitary.num_sites, matrix, unitary.basis)
 
 
 def assemble(alpha: float, unitary: Superoperator, dissipator: Superoperator) -> Superoperator:
     """Strong-dissipation form alpha * L_U + L_D."""
-    return _combine(unitary, dissipator, alpha, 1.0, alpha, "alpha")
+    return _combine(unitary, dissipator, alpha, 1.0)
 
 
 def assemble_weak(beta: float, unitary: Superoperator, dissipator: Superoperator) -> Superoperator:
     """Weak-dissipation form L_U + beta * L_D."""
-    return _combine(unitary, dissipator, 1.0, beta, beta, "beta")
+    return _combine(unitary, dissipator, 1.0, beta)
 
 
-def lambda0_fraction(k: int, num_sites: int) -> Fraction:
+def lambda0_fraction(k: int, num_sites: int, k_max: int = 2) -> Fraction:
     """Exact cluster center of the mean-diagonal dissipator, as a fraction.
 
-    A weight-k string anticommutes with a(k) = 2k(3*l - 2k) of the N_L jump
-    strings, each contributing -2d with d = 2^l / N_L after the trace
-    normalization cancels the 2^l, so the center is -4k(3*l - 2k) / N_L.
+    Each jump string that anticommutes with a weight-k string contributes
+    -2d with d = 2^l / N_L, and the trace normalization cancels the 2^l, so
+    the center is -2 a(k) / N_L.  A weight-j jump overlapping the support in
+    t sites anticommutes when an odd number of those t letters differ, so
+
+        a(k) = sum_{j=1..k_max} sum_t C(k, t) C(l - k, j - t) 3^(j - t) (3^t - (-1)^t) / 2,
+
+    which is 2k(3l - 2k) at k_max = 2.
     """
     if not 0 <= k <= num_sites:
         raise ValueError(f"weight {k} out of range for {num_sites} sites")
-    n_l = 3 * num_sites + 9 * num_sites * (num_sites - 1) // 2
-    return Fraction(-2 * (6 * k * num_sites - 4 * k * k), n_l)
+    anticommuting = sum(
+        comb(k, t) * comb(num_sites - k, j - t) * 3 ** (j - t) * (3**t - (-1) ** t) // 2
+        for j in range(1, k_max + 1)
+        for t in range(0, j + 1)
+    )
+    return Fraction(-2 * anticommuting, kossakowski_dimension(num_sites, k_max))
 
 
-def lambda0(k: int, num_sites: int) -> float:
-    """Cluster center lambda0(k) = -2(6*k*l - 4*k^2) / N_L."""
-    return float(lambda0_fraction(k, num_sites))
+def lambda0(k: int, num_sites: int, k_max: int = 2) -> float:
+    """Cluster center lambda0(k) = -2 a(k) / N_L; see :func:`lambda0_fraction`."""
+    return float(lambda0_fraction(k, num_sites, k_max))
 
 
 # --- Pauli string basis form ------------------------------------------------
@@ -427,44 +352,3 @@ def unitary_pauli_matrix(h: HamiltonianSpec, basis: PauliBasis) -> sp.csr_matrix
     m = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     m.sum_duplicates()
     return m
-
-
-# --- file dumps -------------------------------------------------------------
-
-_DUMP_FORMAT = "superoperator-dump-v1"
-
-
-def save_superoperator(path: Union[str, Path], s: Superoperator) -> None:
-    """Dump as a one-line JSON header followed by raw row-major complex doubles."""
-    header = {
-        "format": _DUMP_FORMAT,
-        "num_sites": s.num_sites,
-        "basis": s.basis,
-        "part": s.part,
-        "strength": s.strength,
-        "strength_kind": s.strength_kind,
-        "lineage": s.lineage,
-        "shape": list(s.matrix.shape),
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode())
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(s.matrix, dtype=complex).tobytes())
-
-
-def load_superoperator(path: Union[str, Path]) -> Superoperator:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != _DUMP_FORMAT:
-            raise ValueError(f"unrecognized dump format {header.get('format')!r}")
-        shape = tuple(header["shape"])
-        matrix = np.frombuffer(fh.read(), dtype=complex).reshape(shape).copy()
-    return Superoperator(
-        header["num_sites"],
-        matrix,
-        header["basis"],
-        header["part"],
-        strength=header["strength"],
-        strength_kind=header["strength_kind"],
-        lineage=header["lineage"],
-    )

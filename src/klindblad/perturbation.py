@@ -68,7 +68,7 @@ def _neighbor_terms(k: int, num_sites: int) -> list[tuple[int, int]]:
     return terms
 
 
-def second_order_mean_fraction(k: int, num_sites: int) -> Fraction:
+def second_order_mean_fraction(k: int, num_sites: int, k_max: int = 2) -> Fraction:
     """Gaussian-averaged second-order shift of cluster k, exact.
 
     Each of the h(k, m) structural couplings is +-2J with J of variance
@@ -79,10 +79,10 @@ def second_order_mean_fraction(k: int, num_sites: int) -> Fraction:
     Refuses when a contributing neighbor is exactly degenerate; that case
     splits at first order instead (see :func:`first_order_block`).
     """
-    center = lambda0_fraction(k, num_sites)
+    center = lambda0_fraction(k, num_sites, k_max)
     total = Fraction(0)
     for m, h in _neighbor_terms(k, num_sites):
-        gap = lambda0_fraction(m, num_sites) - center
+        gap = lambda0_fraction(m, num_sites, k_max) - center
         if gap == 0:
             raise DegenerateWeightError(
                 f"weights {k} and {m} share the cluster center {center} at "
@@ -92,8 +92,8 @@ def second_order_mean_fraction(k: int, num_sites: int) -> Fraction:
     return Fraction(8, 9 * num_sites * (num_sites - 1)) * total
 
 
-def second_order_mean(k: int, num_sites: int) -> float:
-    return float(second_order_mean_fraction(k, num_sites))
+def second_order_mean(k: int, num_sites: int, k_max: int = 2) -> float:
+    return float(second_order_mean_fraction(k, num_sites, k_max))
 
 
 def second_order_exact(k: int, h: HamiltonianSpec, basis: PauliBasis) -> float:
@@ -149,7 +149,7 @@ class WeightGroup:
         return any(b - a == 1 for a, b in zip(self.weights, self.weights[1:]))
 
 
-def degenerate_groups(num_sites: int) -> list[WeightGroup]:
+def degenerate_groups(num_sites: int, k_max: int = 2) -> list[WeightGroup]:
     """Partition of weights 0..l by exact equality of the cluster centers.
 
     Ordered by the smallest member weight.  Adjacent-weight groups are the
@@ -158,7 +158,7 @@ def degenerate_groups(num_sites: int) -> list[WeightGroup]:
     """
     by_center: dict[Fraction, list[int]] = {}
     for k in range(num_sites + 1):
-        by_center.setdefault(lambda0_fraction(k, num_sites), []).append(k)
+        by_center.setdefault(lambda0_fraction(k, num_sites, k_max), []).append(k)
     groups = [WeightGroup(tuple(sorted(ws)), c) for c, ws in by_center.items()]
     groups.sort(key=lambda g: g.weights[0])
     return groups
@@ -264,18 +264,18 @@ class PerturbationPrediction:
         return float(self.lambda0_values[k]) + float(shift) * alpha**2
 
 
-def predict(num_sites: int) -> PerturbationPrediction:
+def predict(num_sites: int, k_max: int = 2) -> PerturbationPrediction:
     """Evaluate every closed form once; degenerate sectors get None shifts."""
     lambda0s = []
     ups = []
     downs = []
     shifts: list[Optional[Fraction]] = []
     for k in range(num_sites + 1):
-        lambda0s.append(lambda0_fraction(k, num_sites))
+        lambda0s.append(lambda0_fraction(k, num_sites, k_max))
         ups.append(h_count(k, k + 1, num_sites) if k + 1 <= num_sites else 0)
         downs.append(h_count(k, k - 1, num_sites) if k - 1 >= 0 else 0)
         try:
-            shifts.append(second_order_mean_fraction(k, num_sites))
+            shifts.append(second_order_mean_fraction(k, num_sites, k_max))
         except DegenerateWeightError:
             shifts.append(None)
     return PerturbationPrediction(
@@ -284,5 +284,5 @@ def predict(num_sites: int) -> PerturbationPrediction:
         tuple(ups),
         tuple(downs),
         tuple(shifts),
-        tuple(degenerate_groups(num_sites)),
+        tuple(degenerate_groups(num_sites, k_max)),
     )

@@ -34,11 +34,9 @@ from .pauli import PauliBasis
 
 __all__ = [
     "FILTER_IM_POS",
-    "FILTER_RE_POS",
     "FILTER_NONE",
     "Spectrum",
     "diagonalize",
-    "eigenvalues_only",
     "CptpReport",
     "cptp_checks",
     "conjugation_residual",
@@ -64,7 +62,6 @@ __all__ = [
 ]
 
 FILTER_IM_POS = "im-pos"
-FILTER_RE_POS = "re-pos"
 FILTER_NONE = "none"
 
 STEADY_TOL = 1e-8
@@ -135,11 +132,6 @@ def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
         )
     biorth = float(np.abs(left @ right - np.eye(right.shape[0])).max())
     return Spectrum(s.num_sites, s.basis, eigs, right, left, diag_residual, biorth, biorth < 1e-6)
-
-
-def eigenvalues_only(s: Superoperator) -> np.ndarray:
-    """Canonically ordered eigenvalues without mode matrices."""
-    return diagonalize(s, vectors=False).eigenvalues
 
 
 def conjugation_residual(eigs: np.ndarray, chunk: int = 512) -> float:
@@ -245,8 +237,6 @@ def _spacing_ratios(points: np.ndarray) -> np.ndarray:
 def _apply_filter(eigs: np.ndarray, half_plane: str) -> np.ndarray:
     if half_plane == FILTER_IM_POS:
         return eigs[eigs.imag > 0]
-    if half_plane == FILTER_RE_POS:
-        return eigs[eigs.real > 0]
     if half_plane == FILTER_NONE:
         return eigs
     raise ValueError(f"unknown half-plane filter {half_plane!r}")
@@ -261,8 +251,8 @@ def complex_spacing_ratios(
     """Ratio |l - l_nn| / |l - l_nnn| for each retained eigenvalue.
 
     The half-plane filter deduplicates the conjugate-symmetric spectrum
-    before neighbor search; Im > 0 is the default because the Re > 0 half
-    of a dissipative spectrum is empty.  Requires at least ``min_count``
+    before neighbor search; Im > 0 keeps one eigenvalue of each conjugate
+    pair.  Requires at least ``min_count``
     retained eigenvalues, and never fewer than 3.
     """
     eigs = np.asarray(eigs, dtype=complex).ravel()

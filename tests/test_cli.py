@@ -86,6 +86,28 @@ def test_predictions_file_round_trips_exact_centers(tmp_path):
         assert float(cells[2]) == lambda0(k, 4)
 
 
+def test_predictions_and_clusters_follow_k_max(tmp_path):
+    out = tmp_path / "run"
+    assert run("spectrum", "--sites", 3, "--seed", 1, "--kmax", 1, "--alpha", "0",
+               "--out", out) == 0
+    rows = [r.split(",") for r in (out / "predictions.csv").read_text().splitlines()[1:]]
+    assert [float(r[2]) for r in rows] == [lambda0(k, 3, k_max=1) for k in range(4)]
+    assert float(rows[1][2]) == -4 / 9
+    clusters = json.loads((out / "clusters_r000_a0.json").read_text())
+    populations = {c["label"]: c["population"] for c in clusters["clusters"]}
+    assert populations["0"] == 0
+    assert clusters["steady_count"] == 1
+
+
+def test_couplings_with_colliding_file_names_are_rejected(tmp_path, capsys):
+    assert run("spectrum", "--sites", 2, "--seed", 1, "--alpha", "0.1234567,0.1234568",
+               "--out", tmp_path / "run") == 2
+    assert "colliding" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert run("sweep-beta", "--sites", 2, "--seed", 1, "--beta", "0.1,0.1",
+               "--out", tmp_path / "run") == 2
+
+
 def test_gnuplot_stub_references_payloads(tmp_path):
     out = tmp_path / "run"
     assert run("spectrum", "--sites", 2, "--seed", 1, "--alpha", "0.1",
@@ -132,7 +154,12 @@ def test_csr_outputs(tmp_path):
     assert (out / "csr_poisson.csv").exists()
 
 
-def test_csr_unitary_only_uses_line_reference(tmp_path):
+def test_csr_unitary_only_uses_line_reference(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a unitary-only run built the dissipator")
+
+    monkeypatch.setattr(cli, "jump_operator_set", refuse)
+    monkeypatch.setattr(cli, "build_dissipator", refuse)
     out = tmp_path / "run"
     assert run("csr", "--sites", 3, "--seed", 17, "--unitary-only",
                "--out", out) == 0
@@ -148,11 +175,6 @@ def test_csr_too_few_ratios_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert run("csr", "--sites", 2, "--seed", 1, "--unitary-only",
                "--min-ratios", 3, "--out", tmp_path / "run2") == 0
-
-
-def test_csr_positive_real_filter_empty_on_dissipative_spectrum(tmp_path):
-    assert run("csr", "--sites", 3, "--seed", 17, "--alpha", "0.5",
-               "--csr-filter", "re-pos", "--out", tmp_path / "run") == 2
 
 
 # --- heisenberg -------------------------------------------------------------
