@@ -1,12 +1,12 @@
 """Spectra of Lindblad generators with random k-local Pauli dissipation.
 
-The package builds dense superoperators for generators of the form
-alpha * L_U + L_D (or L_U + beta * L_D), where L_D couples all Pauli
-strings up to a cutoff weight through a random positive coupling matrix,
-and analyzes the resulting non-Hermitian spectra: cluster structure and
-its perturbative predictions, spacing-ratio statistics, eigenmode operator
-content, commutants, persistence across coupling sweeps, and spectral
-densities.
+The package builds dense real superoperators in the Pauli string basis for
+generators of the form alpha * L_U + L_D (or L_U + beta * L_D), where L_D
+couples all Pauli strings up to a cutoff weight through a random positive
+coupling matrix, and analyzes the resulting non-Hermitian spectra: cluster
+structure and its perturbative predictions, spacing-ratio statistics,
+eigenmode operator content, commutants, persistence across coupling sweeps,
+and spectral densities.
 """
 
 from .errors import (
@@ -50,8 +50,6 @@ from .liouvillian import (
     jump_operator_set,
     lambda0,
     lambda0_fraction,
-    pauli_basis_form,
-    real_pauli_form,
     unitary_pauli_matrix,
 )
 from .perturbation import (

@@ -23,9 +23,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -58,8 +59,6 @@ from .liouvillian import (
     build_unitary_part,
     jump_operator_set,
     lambda0,
-    pauli_basis_form,
-    real_pauli_form,
     unitary_pauli_matrix,
 )
 from .pauli import PauliBasis
@@ -192,8 +191,9 @@ class Realization:
     """One realization's seeded model and the generator parts built from it.
 
     K and H come from the realization's own substreams, so they do not
-    depend on the coupling list.  L_D and its jump set are built on first
-    use, so a unitary-only run never builds them.
+    depend on the coupling list.  L_U and L_D are real string-basis
+    matrices built once; each coupling then costs one scaled add.  L_D is
+    built on first use, so a unitary-only run never builds it.
     """
 
     def __init__(self, cfg: ExperimentConfig, index: int):
@@ -206,8 +206,8 @@ class Realization:
             self.h = sample_random_hamiltonian(
                 cfg.sites, rng=self.stream(STREAM_HAMILTONIAN), exact_norm=cfg.exact_h_norm
             )
-        self.l_u = build_unitary_part(self.h, allow_large=cfg.allow_large)
         self.basis = PauliBasis(cfg.sites)
+        self.l_u = build_unitary_part(self.h, self.basis, allow_large=cfg.allow_large)
 
     def stream(self, purpose: int) -> np.random.Generator:
         return substream(self.cfg.seed, self.index, purpose)
@@ -215,20 +215,11 @@ class Realization:
     @cached_property
     def l_d(self) -> Superoperator:
         jumps = jump_operator_set(self.cfg.sites, self.cfg.k_max)
-        return build_dissipator(self.k, jumps, allow_large=self.cfg.allow_large)
+        return build_dissipator(self.k, jumps, self.basis, allow_large=self.cfg.allow_large)
 
     def generator(self, strength: float, form: Callable) -> Superoperator:
-        """``form(strength, L_U, L_D)`` (``assemble`` or ``assemble_weak``) in
-        the Pauli string basis, with the exactly-real matrix for the fast
-        eigensolve."""
-        return self._real_pauli(form(strength, self.l_u, self.l_d))
-
-    def unitary_generator(self) -> Superoperator:
-        return self._real_pauli(self.l_u)
-
-    def _real_pauli(self, sup: Superoperator) -> Superoperator:
-        transformed = pauli_basis_form(sup, self.basis)
-        return replace(transformed, matrix=real_pauli_form(transformed))
+        """``form(strength, L_U, L_D)``: ``assemble`` or ``assemble_weak``."""
+        return form(strength, self.l_u, self.l_d)
 
     def digests(self) -> dict:
         return {
@@ -458,7 +449,7 @@ def _csr_worker(rz: Realization) -> dict:
     ratios = {}
     for key in ("unitary",) if cfg.unitary_only else cfg.alphas:
         eigs = diagonalize(
-            rz.unitary_generator() if key == "unitary" else rz.generator(key, assemble),
+            rz.l_u if key == "unitary" else rz.generator(key, assemble),
             vectors=False,
         ).eigenvalues
         hist = complex_spacing_ratios(
@@ -732,6 +723,10 @@ def _gnuplot_stub(out: OutputTracker) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The payload bits depend on the BLAS build and its thread count.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_manifest(
     out: OutputTracker,
     cfg: ExperimentConfig,
@@ -739,9 +734,15 @@ def _write_manifest(
     models: list[dict],
     axis_rescale: Optional[dict],
 ) -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "version": __version__,
-        "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "libraries": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        },
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "command": command,
         "config": asdict(cfg),
         "models": [{"realization": r, **digests} for r, digests in enumerate(models)],

@@ -1,22 +1,31 @@
-"""Superoperator assembly for Lindblad generators over Pauli jump channels.
+"""Lindblad generators over Pauli jump channels, in the Pauli string basis.
 
-Vectorization is column-stacking throughout: vec stacks matrix columns, so
-vec(A rho B) = (B^T kron A) vec(rho).  The generator splits as
+A superoperator L is stored as its real matrix in the orthonormal string
+basis e_b = S_b / sqrt(2^l) of a complete :class:`PauliBasis`,
+
+    M[a, b] = Tr(S_a L(S_b)) / 2^l,
+
+which is exactly real for Hermitian jump strings and a Hermitian H.  Both
+parts are scattered straight into that matrix from the symplectic product
+rule of :func:`pauli.multiply`, S_p S_q = i^e(p, q) S_{p xor q}, with no
+Kronecker products.  The generator splits as
 
     L = alpha * L_U + L_D,      L_D = L_D0 + L_D1,
 
 where L_U is the commutator part, L_D0 comes from the mean diagonal of the
-coupling matrix K and is diagonal in the Pauli string basis with entries
-lambda0(weight), and L_D1 carries the fluctuations.  The weak-dissipation
-form L_U + beta * L_D is the same object with the scale moved.
+coupling matrix K and is diagonal with entries lambda0(weight), and L_D1
+carries the fluctuations.  The weak-dissipation form L_U + beta * L_D is
+the same object with the scale moved.
 
-Matrices are dense; sizes grow as 16^num_sites, so building is refused above
-MAX_SUPEROPERATOR_SITES unless explicitly overridden.
+Matrices are dense, 4^num_sites on a side, so building is refused above
+MAX_SUPEROPERATOR_SITES unless explicitly overridden.  ``pauli_basis_form``
+and ``real_pauli_form`` carry a column-stacked computational-basis matrix
+into the same real form; they serve as an independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, sqrt
 from typing import Sequence, Union
@@ -24,9 +33,9 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .ensemble import HamiltonianSpec, KossakowskiSample, dense_hamiltonian, kossakowski_dimension
+from .ensemble import HamiltonianSpec, KossakowskiSample, kossakowski_dimension
 from .errors import NonPositiveKossakowskiError, NumericalError, ResourceLimitError
-from .pauli import PauliBasis, PauliString, commutator, enumerate_basis, to_dense
+from .pauli import PauliBasis, PauliString, enumerate_basis
 
 __all__ = [
     "MAX_SUPEROPERATOR_SITES",
@@ -67,18 +76,12 @@ class JumpOperatorSet:
     """Traceless jump operators: Pauli strings scaled by 1/sqrt(2^l).
 
     The scaling makes the set orthonormal, Tr(L_n^dag L_m) = delta_nm.
-    ``stack[n]`` is the dense form of ``strings[n]``, already scaled.
     """
 
     num_sites: int
     strings: tuple[PauliString, ...]
-    stack: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.strings)
-        dim = 1 << self.num_sites
-        if self.stack.shape != (n, dim, dim):
-            raise ValueError(f"stack shape {self.stack.shape} does not match {n} strings")
         for s in self.strings:
             if s.weight == 0:
                 raise ValueError("identity is not a valid jump operator (not traceless)")
@@ -90,10 +93,7 @@ class JumpOperatorSet:
     def from_strings(cls, strings: Sequence[PauliString]) -> "JumpOperatorSet":
         if not strings:
             raise ValueError("empty jump operator set")
-        num_sites = strings[0].num_sites
-        norm = sqrt(2.0**num_sites)
-        stack = np.array([to_dense(s) / norm for s in strings])
-        return cls(num_sites, tuple(strings), stack)
+        return cls(strings[0].num_sites, tuple(strings))
 
 
 def jump_operator_set(num_sites: int, k_max: int = 2) -> JumpOperatorSet:
@@ -167,76 +167,159 @@ def _validate_coupling(k_matrix: np.ndarray) -> None:
         )
 
 
+# i**e for the exponents of the product rule
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+# Columns per block of the dissipator scatter; the per-block temporaries are
+# a few (product strings x block) arrays, a few MB at 6 sites.
+_BLOCK = 256
+
+
+def _anticommutes(x1, z1, x2, z2) -> np.ndarray:
+    """1 where S_1 and S_2 anticommute (odd symplectic form), else 0."""
+    return (np.bitwise_count(x1 & z2) + np.bitwise_count(z1 & x2)) & 1
+
+
+def _exponent(x1, z1, x2, z2) -> np.ndarray:
+    """e with S_1 S_2 = i^e S_{1 xor 2}: the rule of :func:`pauli.multiply`,
+    broadcast over bit arrays (uint8 wraparound is harmless modulo 4)."""
+    count = np.bitwise_count
+    return (count(x1 & z1) + count(x2 & z2) - count((x1 ^ x2) & (z1 ^ z2))
+            + 2 * count(z1 & x2)) % 4
+
+
+def _check_complete(basis: PauliBasis, num_sites: int) -> None:
+    if basis.num_sites != num_sites:
+        raise ValueError("basis and model disagree on num_sites")
+    if len(basis) != 4**num_sites:
+        raise ValueError(f"need the complete string basis, got {len(basis)} of {4**num_sites}")
+
+
 def build_dissipator(
     k: Union[KossakowskiSample, np.ndarray],
     jumps: JumpOperatorSet,
+    basis: PauliBasis,
     *,
     validate: bool = True,
     allow_large: bool = False,
 ) -> Superoperator:
     """Dissipative generator sum_nm K_nm (L_n . L_m^dag - 1/2 {L_m^dag L_n, .}).
 
-    Assembled as B^* tensor A contractions in one pass over channels rather
-    than per-pair Kronecker products; the anticommutator collapses to a
-    single operator C = sum_nm K_nm L_m^dag L_n.
+    With c = n xor m and s(b, m) = +-1 as S_b and S_m commute or
+    anticommute, every pair (n, m) maps S_b onto S_{c xor b}, so
+
+        M[c xor b, b] = i^e(c, b) / 2^l * (A[c, b] - 1/2 (1 + s(b, c)) B[c]),
+        A[c, b] = sum_m K_{m xor c, m} i^e(m xor c, m) s(b, m),
+        B[c] = sum_{n xor m = c} K_nm i^e(m, n).
+
+    A is one (product strings x jumps) @ (jumps x columns) product, taken
+    in column blocks; within a column each c hits its own row.  The real
+    part is kept, and an imaginary residue above 1e-10 (a non-Hermitian K)
+    raises :class:`NumericalError`.
     """
-    _check_size(jumps.num_sites, allow_large)
+    num_sites = jumps.num_sites
+    _check_size(num_sites, allow_large)
+    _check_complete(basis, num_sites)
     k_matrix = _coupling_matrix(k, jumps)
     if validate:
         _validate_coupling(k_matrix)
-    t = jumps.stack
-    n_jump, dim, _ = t.shape
-    # g[m] = sum_n K_nm L_n; pairing t* with g then realizes the K bilinear.
-    g = (k_matrix.T @ t.reshape(n_jump, dim * dim)).reshape(n_jump, dim, dim)
-    p = np.tensordot(t.conj(), g, axes=(0, 0))
-    m = p.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
-    c = np.einsum("nba,nbc->ac", t.conj(), g)
-    eye = np.eye(dim)
-    m -= 0.5 * (np.kron(eye, c) + np.kron(c.T, eye))
-    return Superoperator(jumps.num_sites, m)
+    k_matrix = k_matrix / 2.0**num_sites  # exact: the 1/2^l of M, applied early
+    jx = np.array([s.x_bits for s in jumps.strings], dtype=np.uint64)
+    jz = np.array([s.z_bits for s in jumps.strings], dtype=np.uint64)
+    n_jump = len(jumps)
+    # products S_n S_m, indexed [n, m], grouped by the string c = n xor m
+    keys = ((jx[:, None] ^ jx) << np.uint64(num_sites)) | (jz[:, None] ^ jz)
+    products, c_of = np.unique(keys, return_inverse=True)
+    c_of = c_of.reshape(n_jump, n_jump)
+    exponent = _exponent(jx[:, None], jz[:, None], jx, jz)
+    w = np.zeros((products.size, n_jump), dtype=complex)
+    w[c_of, np.arange(n_jump)] = k_matrix * _I_POWERS[exponent]
+    b_sum = np.zeros(products.size, dtype=complex)
+    np.add.at(b_sum, c_of, k_matrix * _I_POWERS[exponent.T])
+    w_stacked = np.concatenate([w.real, w.imag])
+    cx = (products >> np.uint64(num_sites))[:, None]
+    cz = (products & np.uint64((1 << num_sites) - 1))[:, None]
+
+    n = len(basis)
+    out = np.zeros((n, n))
+    residue = 0.0
+    for lo in range(0, n, _BLOCK):
+        cols = np.arange(lo, min(lo + _BLOCK, n))
+        bx, bz = basis.x_array[cols], basis.z_array[cols]
+        signs = 1.0 - 2.0 * _anticommutes(jx[:, None], jz[:, None], bx, bz)
+        a = w_stacked @ signs
+        a = a[: products.size] + 1j * a[products.size :]
+        commuting = _anticommutes(cx, cz, bx, bz) == 0
+        a -= np.where(commuting, b_sum[:, None], 0.0)
+        a *= _I_POWERS[_exponent(cx, cz, bx, bz)]
+        residue = max(residue, float(np.abs(a.imag).max()))
+        out[basis.lookup(cx ^ bx, cz ^ bz), cols] = a.real
+    if residue > 1e-10:
+        raise NumericalError(f"imaginary residue {residue:.3e} exceeds 1e-10")
+    return Superoperator(num_sites, out, BASIS_PAULI)
+
+
+def _commutator_entries(
+    h: HamiltonianSpec, basis: PauliBasis
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of -i[H, .] in the string basis.
+
+    For each term J S_w and each basis string S_b anticommuting with it,
+    -i[J S_w, S_b] = -2i J i^e(w, b) S_{w xor b} with i^e = +-i, so the entry
+    is +2J at e = 1 and -2J at e = 3.  Images outside a truncated basis are
+    dropped.
+    """
+    if basis.num_sites != h.num_sites:
+        raise ValueError("basis and Hamiltonian disagree on num_sites")
+    x, z = basis.x_array, basis.z_array
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for s_w, coupling in h.coefficients.items():
+        wx, wz = np.uint64(s_w.x_bits), np.uint64(s_w.z_bits)
+        b = np.flatnonzero(_anticommutes(wx, wz, x, z))
+        row = basis.lookup(wx ^ x[b], wz ^ z[b])
+        b, row = b[row >= 0], row[row >= 0]
+        plus = _exponent(wx, wz, x[b], z[b]) == 1
+        rows.append(row)
+        cols.append(b)
+        vals.append(np.where(plus, 2.0 * coupling, -2.0 * coupling))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def build_unitary_part(
-    h: Union[HamiltonianSpec, np.ndarray],
+    h: HamiltonianSpec,
+    basis: PauliBasis,
     *,
     allow_large: bool = False,
 ) -> Superoperator:
-    """Commutator generator -i[H, .] as -i (1 kron H - H^T kron 1)."""
-    if isinstance(h, HamiltonianSpec):
-        num_sites = h.num_sites
-        h_dense = dense_hamiltonian(h)
-    else:
-        h_dense = np.asarray(h, dtype=complex)
-        if h_dense.ndim != 2 or h_dense.shape[0] != h_dense.shape[1]:
-            raise ValueError(f"Hamiltonian must be square, got shape {h_dense.shape}")
-        num_sites = int(h_dense.shape[0]).bit_length() - 1
-        if 1 << num_sites != h_dense.shape[0]:
-            raise ValueError(f"Hamiltonian dimension {h_dense.shape[0]} is not a power of 2")
-    _check_size(num_sites, allow_large)
-    eye = np.eye(h_dense.shape[0])
-    m = -1j * (np.kron(eye, h_dense) - np.kron(h_dense.T, eye))
-    return Superoperator(num_sites, m)
+    """Commutator generator -i[H, .] as a dense matrix; see
+    :func:`unitary_pauli_matrix` for its sparse form."""
+    _check_size(h.num_sites, allow_large)
+    _check_complete(basis, h.num_sites)
+    rows, cols, vals = _commutator_entries(h, basis)
+    out = np.zeros((len(basis), len(basis)))
+    out[rows, cols] = vals
+    return Superoperator(h.num_sites, out, BASIS_PAULI)
 
 
-def _combine(
-    unitary: Superoperator, dissipator: Superoperator, u_weight: float, d_weight: float
-) -> Superoperator:
-    if unitary.num_sites != dissipator.num_sites:
+def _combine(scaled: Superoperator, weight: float, unit: Superoperator) -> Superoperator:
+    """weight * scaled + unit, with one new matrix."""
+    if scaled.num_sites != unit.num_sites:
         raise ValueError("parts disagree on num_sites")
-    if unitary.basis != dissipator.basis:
-        raise ValueError(f"parts disagree on basis: {unitary.basis!r} vs {dissipator.basis!r}")
-    matrix = u_weight * unitary.matrix + d_weight * dissipator.matrix
-    return Superoperator(unitary.num_sites, matrix, unitary.basis)
+    if scaled.basis != unit.basis:
+        raise ValueError(f"parts disagree on basis: {scaled.basis!r} vs {unit.basis!r}")
+    matrix = np.multiply(weight, scaled.matrix)
+    matrix += unit.matrix
+    return Superoperator(unit.num_sites, matrix, unit.basis)
 
 
 def assemble(alpha: float, unitary: Superoperator, dissipator: Superoperator) -> Superoperator:
     """Strong-dissipation form alpha * L_U + L_D."""
-    return _combine(unitary, dissipator, alpha, 1.0)
+    return _combine(unitary, alpha, dissipator)
 
 
 def assemble_weak(beta: float, unitary: Superoperator, dissipator: Superoperator) -> Superoperator:
     """Weak-dissipation form L_U + beta * L_D."""
-    return _combine(unitary, dissipator, 1.0, beta)
+    return _combine(dissipator, beta, unitary)
 
 
 def lambda0_fraction(k: int, num_sites: int, k_max: int = 2) -> Fraction:
@@ -322,32 +405,13 @@ def real_pauli_form(s: Superoperator, tol: float = 1e-10) -> np.ndarray:
 
 
 def unitary_pauli_matrix(h: HamiltonianSpec, basis: PauliBasis) -> sp.csr_matrix:
-    """Commutator generator in the string basis, built term by term.
+    """Commutator generator in the string basis as a sparse matrix.
 
-    For each basis string S_y and Hamiltonian term J * S_w, a nonzero
-    appears at row x with S_x proportional to S_w S_y whenever the two
-    anticommute; the entry is -2i * phase * J, which is real (+-2J) because
-    the product phase of anticommuting Hermitian strings is +-i.  Only
-    adjacent weight sectors couple, since a weight-2 term changes the
-    weight of any string by exactly +-1 when the commutator survives.
+    The basis may be a truncated weight window.  Only adjacent weight
+    sectors couple, since a weight-2 term changes the weight of any string
+    by exactly +-1 when the commutator survives.
     """
-    if basis.num_sites != h.num_sites:
-        raise ValueError("basis and Hamiltonian disagree on num_sites")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for y, s_y in enumerate(basis):
-        for s_w, coupling in h.coefficients.items():
-            c = commutator(s_w, s_y)
-            if c is None:
-                continue
-            if c.string not in basis:
-                continue  # truncated basis drops out-of-range weights
-            entry = -2j * c.phase * coupling
-            assert entry.imag == 0.0
-            rows.append(basis.index_of(c.string))
-            cols.append(y)
-            vals.append(entry.real)
+    rows, cols, vals = _commutator_entries(h, basis)
     n = len(basis)
     m = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     m.sum_duplicates()

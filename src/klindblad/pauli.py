@@ -321,6 +321,9 @@ class PauliBasis:
     def lookup(self, x_arr: np.ndarray, z_arr: np.ndarray) -> np.ndarray:
         """Vectorized index lookup; -1 marks strings not in the basis."""
         keys = (x_arr.astype(np.uint64) << np.uint64(self.num_sites)) | z_arr.astype(np.uint64)
+        if len(self) == 4**self.num_sites:
+            # complete basis: the sorted keys are 0 .. 4^l - 1
+            return self._key_order[keys].astype(np.int64)
         pos = np.searchsorted(self._sorted_keys, keys)
         pos = np.minimum(pos, len(self._sorted_keys) - 1)
         found = self._sorted_keys[pos] == keys

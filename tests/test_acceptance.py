@@ -11,13 +11,13 @@ turns the suite red.
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.stats import ks_2samp, kstest
 
+import oracle
 from klindblad.cli import main as cli_main
 from klindblad.ensemble import (
     STREAM_HAMILTONIAN,
@@ -34,8 +34,6 @@ from klindblad.liouvillian import (
     build_unitary_part,
     jump_operator_set,
     lambda0,
-    pauli_basis_form,
-    real_pauli_form,
     unitary_pauli_matrix,
 )
 from klindblad.pauli import PauliBasis, commutator, multiply, to_dense
@@ -55,11 +53,6 @@ from klindblad.spectral import (
 
 nightly = pytest.mark.nightly
 slow = pytest.mark.slow
-
-
-def real_matrix(sup, basis):
-    """String-basis supermatrix with the imaginary rotation folded in."""
-    return real_pauli_form(pauli_basis_form(sup, basis))
 
 
 def predicted_centers(num_sites, alpha):
@@ -118,7 +111,7 @@ def test_a02_mean_coupling_dissipator_diagonal(num_sites):
     jumps = jump_operator_set(num_sites, 2)
     n_jumps = 3 * num_sites + 9 * num_sites * (num_sites - 1) // 2
     k_mean = np.eye(n_jumps) * (2.0**num_sites / n_jumps)
-    mat = real_matrix(build_dissipator(k_mean, jumps), basis)
+    mat = build_dissipator(k_mean, jumps, basis).matrix
     assert np.abs(mat - np.diag(np.diag(mat))).max() < 1e-10
     targets = np.array([lambda0(s.weight, num_sites) for s in basis])
     assert np.abs(np.diag(mat) - targets).max() < 1e-10
@@ -159,10 +152,9 @@ def test_a04_cptp_spectral_invariants():
     for r in range(100):
         k = sample_kossakowski(num_sites, 2, rng=substream(seed, r, STREAM_KOSSAKOWSKI))
         h = sample_random_hamiltonian(num_sites, rng=substream(seed, r, STREAM_HAMILTONIAN))
-        l_u, l_d = build_unitary_part(h), build_dissipator(k, jumps)
+        l_u, l_d = build_unitary_part(h, basis), build_dissipator(k, jumps, basis)
         for alpha in (0.0, 0.15, 1.5):
-            sup = pauli_basis_form(assemble(alpha, l_u, l_d), basis)
-            spectrum = diagonalize(replace(sup, matrix=real_pauli_form(sup)))
+            spectrum = diagonalize(assemble(alpha, l_u, l_d))
             report = cptp_checks(spectrum)
             assert report.max_re < 1e-8
             assert report.zero_mode_present
@@ -178,7 +170,7 @@ def test_a04_cptp_spectral_invariants():
 def zero_coupling_report_5():
     basis = PauliBasis(5)
     k = sample_kossakowski(5, 2, seed=77)
-    eigs = np.linalg.eigvals(real_matrix(build_dissipator(k, jump_operator_set(5, 2)), basis))
+    eigs = np.linalg.eigvals(build_dissipator(k, jump_operator_set(5, 2), basis).matrix)
     return cluster_by_centers(eigs, predicted_centers(5, 0.0))
 
 
@@ -188,11 +180,11 @@ def l6_sweep():
     basis = PauliBasis(6)
     k = sample_kossakowski(6, 2, seed=21)
     h = sample_random_hamiltonian(6, seed=32)
-    l_u = build_unitary_part(h)
-    l_d = build_dissipator(k, jump_operator_set(6, 2))
+    l_u = build_unitary_part(h, basis)
+    l_d = build_dissipator(k, jump_operator_set(6, 2), basis)
     out = {}
     for alpha in (0.0, 0.02, 0.04, 0.06, 0.08, 0.10):
-        eigs = np.linalg.eigvals(real_matrix(assemble(alpha, l_u, l_d), basis))
+        eigs = np.linalg.eigvals(assemble(alpha, l_u, l_d).matrix)
         out[alpha] = (eigs, cluster_by_centers(eigs, predicted_centers(6, alpha)))
     return out
 
@@ -258,14 +250,14 @@ def test_a06_center_drift_without_coupling_fluctuations():
     jumps = jump_operator_set(num_sites, 2)
     n_jumps = 3 * num_sites + 9 * num_sites * (num_sites - 1) // 2
     k_mean = np.eye(n_jumps) * (2.0**num_sites / n_jumps)
-    l_d = build_dissipator(k_mean, jumps)
+    l_d = build_dissipator(k_mean, jumps, basis)
     h = sample_random_hamiltonian(
         num_sites, rng=substream(21, 0, STREAM_HAMILTONIAN), exact_norm=True
     )
-    l_u = build_unitary_part(h)
+    l_u = build_unitary_part(h, basis)
     shifts = []
     for alpha in ALPHA_GRID:
-        eigs = np.linalg.eigvals(real_matrix(assemble(alpha, l_u, l_d), basis))
+        eigs = np.linalg.eigvals(assemble(alpha, l_u, l_d).matrix)
         report = cluster_by_centers(eigs, predicted_centers(num_sites, alpha))
         cluster = next(c for c in report.clusters if c.label == "1")
         shifts.append(cluster.center.real - lambda0(1, num_sites))
@@ -339,16 +331,16 @@ def test_a08_unitary_spread_and_weak_dissipation_trace():
     for num_sites in (4, 5):
         h = heisenberg_hamiltonian(num_sites)
         basis = PauliBasis(num_sites)
-        eigs = np.linalg.eigvals(real_matrix(build_unitary_part(h), basis))
+        eigs = np.linalg.eigvals(build_unitary_part(h, basis).matrix)
         assert abs(eigs.imag.std() - math.sqrt(2.0)) < 1e-10
     num_sites, seed = 4, 19
     basis = PauliBasis(num_sites)
     k = sample_kossakowski(num_sites, 2, rng=substream(seed, 0, STREAM_KOSSAKOWSKI))
     h = sample_random_hamiltonian(num_sites, rng=substream(seed, 0, STREAM_HAMILTONIAN))
-    l_u = build_unitary_part(h)
-    l_d = build_dissipator(k, jump_operator_set(num_sites, 2))
+    l_u = build_unitary_part(h, basis)
+    l_d = build_dissipator(k, jump_operator_set(num_sites, 2), basis)
     for beta in (0.01, 0.03, 0.05):
-        eigs = np.linalg.eigvals(real_matrix(assemble_weak(beta, l_u, l_d), basis))
+        eigs = np.linalg.eigvals(assemble_weak(beta, l_u, l_d).matrix)
         assert abs(eigs.real.mean() + beta) < 0.02 * beta
 
 
@@ -369,15 +361,15 @@ def csr_pools():
     for r in range(100):
         k = sample_kossakowski(num_sites, 2, rng=substream(seed, r, STREAM_KOSSAKOWSKI))
         h = sample_random_hamiltonian(num_sites, rng=substream(seed, r, STREAM_HAMILTONIAN))
-        l_u, l_d = build_unitary_part(h), build_dissipator(k, jumps)
-        u_eigs = np.linalg.eigvals(real_matrix(l_u, basis))
+        l_u, l_d = build_unitary_part(h, basis), build_dissipator(k, jumps, basis)
+        u_eigs = np.linalg.eigvals(l_u.matrix)
         # exactly degenerate level differences sit on the real axis up to
         # solver noise; their mutual spacings carry no statistics
         pools["unitary"].append(
             complex_spacing_ratios(u_eigs[u_eigs.imag > 1e-10]).ratios
         )
         for alpha in CSR_ALPHAS:
-            eigs = np.linalg.eigvals(real_matrix(assemble(alpha, l_u, l_d), basis))
+            eigs = np.linalg.eigvals(assemble(alpha, l_u, l_d).matrix)
             pools[alpha].append(complex_spacing_ratios(eigs, FILTER_IM_POS).ratios)
     return {key: np.concatenate(value) for key, value in pools.items()}
 
@@ -483,7 +475,13 @@ def test_a11_evolution_matches_matrix_exponential():
     num_sites = 3
     k = sample_kossakowski(num_sites, 2, seed=21)
     h = sample_random_hamiltonian(num_sites, seed=32)
-    sup = assemble(0.7, build_unitary_part(h), build_dissipator(k, jump_operator_set(num_sites, 2)))
+    # the column-stacked computational form, so rho and the observable
+    # vectorize directly
+    sup = assemble(
+        0.7,
+        oracle.build_unitary_part(h),
+        oracle.build_dissipator(k, jump_operator_set(num_sites, 2)),
+    )
     spectrum = diagonalize(sup)
     dim = 2**num_sites
     rng = np.random.default_rng(5)
@@ -516,11 +514,9 @@ def density_pools():
     for r in range(100):
         k = sample_kossakowski(num_sites, 2, rng=substream(seed, r, STREAM_KOSSAKOWSKI))
         h = sample_random_hamiltonian(num_sites, rng=substream(seed, r, STREAM_HAMILTONIAN))
-        l_u, l_d = build_unitary_part(h), build_dissipator(k, jumps)
+        l_u, l_d = build_unitary_part(h, basis), build_dissipator(k, jumps, basis)
         for alpha in alphas:
-            pools[alpha].append(
-                np.linalg.eigvals(real_matrix(assemble(alpha, l_u, l_d), basis))
-            )
+            pools[alpha].append(np.linalg.eigvals(assemble(alpha, l_u, l_d).matrix))
     return pools
 
 

@@ -3,6 +3,7 @@ and the byte-level reproducibility contract."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -45,6 +46,20 @@ def test_spectrum_outputs_and_manifest_inventory(tmp_path):
     assert len(rows) == 1 + 16
     assert manifest["config"]["sites"] == 2
     assert manifest["axis_rescale"]["im"] == {"0": None, "0.1": 10.0}
+
+
+def test_manifest_records_numeric_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "run"
+    assert run("spectrum", "--sites", 2, "--seed", 11, "--alpha", "0", "--out", out) == 0
+    manifest = manifest_of(out)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["libraries"]["blas"] == {"name": blas["name"], "version": blas["version"]}
+    threads = manifest["blas_threads"]
+    assert threads["OMP_NUM_THREADS"] == "3"
+    assert threads["MKL_NUM_THREADS"] is None
+    assert threads["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
 
 def test_spectrum_byte_reproducibility(tmp_path):

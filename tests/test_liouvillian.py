@@ -1,9 +1,10 @@
 """Superoperator assembly tests.
 
-Small closed-form channels (dephasing, single-qubit unitaries) anchor the
-vectorization convention; structural checks (trace row, diagonality of the
-flat-coupling dissipator, weight-adjacency of the commutator generator) run
-on sampled models.
+The direct string-basis builders are checked against the computational-basis
+Kronecker oracle of ``oracle.py`` rotated into the same basis; small
+closed-form channels (dephasing, a ZZ coupling) anchor the conventions;
+structural checks (trace row, diagonality of the flat-coupling dissipator,
+weight-adjacency of the commutator generator) run on sampled models.
 """
 
 from fractions import Fraction
@@ -11,6 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import pairing_distance
+
+import oracle
 
 from klindblad.ensemble import (
     HamiltonianSpec,
@@ -47,9 +50,10 @@ def test_jump_set_counts_and_orthonormality():
     jumps = jump_operator_set(2, 2)
     assert len(jumps) == 15
     assert len(jump_operator_set(4, 2)) == 66
-    for a in jumps.stack:
+    stack = oracle.jump_stack(jumps)
+    for a in stack:
         assert abs(np.trace(a)) < 1e-14
-    gram = np.einsum("nij,mij->nm", jumps.stack.conj(), jumps.stack)
+    gram = np.einsum("nij,mij->nm", stack.conj(), stack)
     assert np.abs(gram - np.eye(15)).max() < 1e-14
 
 
@@ -64,26 +68,30 @@ def test_jump_set_rejects_identity():
 def test_dephasing_channel_spectrum():
     # single Z channel on one qubit with coupling 2: rates {0, 0, -2, -2}
     jumps = JumpOperatorSet.from_strings([PauliString.from_label("Z")])
-    ld = build_dissipator(np.array([[2.0]]), jumps)
+    ld = build_dissipator(np.array([[2.0]]), jumps, PauliBasis(1))
     eigs = np.linalg.eigvals(ld.matrix)
     assert pairing_distance(eigs, np.array([0, 0, -2, -2], dtype=complex)) < 1e-12
 
 
 def test_trace_preservation_row():
-    ld = build_dissipator(sample_kossakowski(3, 2, seed=1), jump_operator_set(3, 2))
+    k, jumps = sample_kossakowski(3, 2, seed=1), jump_operator_set(3, 2)
+    ld = build_dissipator(k, jumps, PauliBasis(3))
     assert ld.trace_violation() < 1e-10
-    # the identity test vector itself
+    # the identity test vector itself, in the computational vectorization
     v = vec_identity(3)
-    assert np.abs(v.conj() @ ld.matrix).max() < 1e-10
+    assert np.abs(v.conj() @ oracle.build_dissipator(k, jumps).matrix).max() < 1e-10
 
 
 def test_dissipator_trace_identity():
     # Tr L_D = -N^2 whenever Tr K = N and the jumps are traceless strings
     for num_sites, seed in ((2, 3), (3, 4)):
-        ld = build_dissipator(sample_kossakowski(num_sites, 2, seed=seed), jump_operator_set(num_sites, 2))
+        ld = build_dissipator(
+            sample_kossakowski(num_sites, 2, seed=seed),
+            jump_operator_set(num_sites, 2),
+            PauliBasis(num_sites),
+        )
         n = 2.0**num_sites
-        assert np.trace(ld.matrix).real == pytest.approx(-(n**2), abs=1e-9)
-        assert abs(np.trace(ld.matrix).imag) < 1e-9
+        assert np.trace(ld.matrix) == pytest.approx(-(n**2), abs=1e-9)
 
 
 def test_flat_coupling_dissipator_is_diagonal_in_string_basis():
@@ -93,8 +101,7 @@ def test_flat_coupling_dissipator_is_diagonal_in_string_basis():
         for k_max in range(1, num_sites + 1):
             jumps = jump_operator_set(num_sites, k_max)
             d = 2.0**num_sites / len(jumps)
-            ld = build_dissipator(d * np.eye(len(jumps)), jumps)
-            form = pauli_basis_form(ld, basis).matrix
+            form = build_dissipator(d * np.eye(len(jumps)), jumps, basis).matrix
             off = form - np.diag(np.diag(form))
             assert np.abs(off).max() < 1e-12
             want = [lambda0(s.weight, num_sites, k_max) for s in basis]
@@ -102,43 +109,69 @@ def test_flat_coupling_dissipator_is_diagonal_in_string_basis():
 
 
 def test_coupling_validation():
-    jumps = jump_operator_set(2, 2)
+    jumps, basis = jump_operator_set(2, 2), PauliBasis(2)
     bad_psd = -0.5 * np.eye(15)
     with pytest.raises(NonPositiveKossakowskiError):
-        build_dissipator(bad_psd, jumps)
+        build_dissipator(bad_psd, jumps, basis)
     not_hermitian = np.eye(15) + 0j
     not_hermitian[0, 1] = 1.0
     with pytest.raises(ValueError):
-        build_dissipator(not_hermitian, jumps)
+        build_dissipator(not_hermitian, jumps, basis)
     with pytest.raises(ValueError):
-        build_dissipator(np.eye(4), jumps)
+        build_dissipator(np.eye(4), jumps, basis)
     # validation can be bypassed for constructed splits
-    build_dissipator(bad_psd, jumps, validate=False)
+    build_dissipator(bad_psd, jumps, basis, validate=False)
+    # but a non-Hermitian K gives a generator that does not preserve
+    # Hermiticity, whose string-basis elements are not real
+    with pytest.raises(NumericalError):
+        build_dissipator(not_hermitian, jumps, basis, validate=False)
+
+
+def test_builders_need_the_complete_basis():
+    h = sample_random_hamiltonian(3, seed=2)
+    window = PauliBasis(3, max_weight=2)
+    with pytest.raises(ValueError):
+        build_unitary_part(h, window)
+    with pytest.raises(ValueError):
+        build_dissipator(np.eye(45), jump_operator_set(3, 2), window)
+    with pytest.raises(ValueError):
+        build_unitary_part(h, PauliBasis(2))
 
 
 def test_size_guardrail():
+    # the guardrail fires before the basis is looked at
+    small = PauliBasis(7, max_weight=1)
     with pytest.raises(ResourceLimitError):
-        jump_operator_set(7, 2), build_dissipator(
-            np.eye(231), jump_operator_set(7, 2)
-        )
+        build_dissipator(np.eye(231), jump_operator_set(7, 2), small)
+    with pytest.raises(ResourceLimitError):
+        build_unitary_part(sample_random_hamiltonian(7, seed=1), small)
 
 
 # ---------------------------------------------------------------- unitary part
 
 
 def test_unitary_part_small_cases():
-    zero = build_unitary_part(HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {}))
+    basis = PauliBasis(2)
+    zero = build_unitary_part(HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {}), basis)
     assert np.count_nonzero(zero.matrix) == 0
 
-    lu = build_unitary_part(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    # H = ZZ has levels +-1, so -i[H, .] has 0 eight times and +-2i four times
+    zz = HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {PauliString.from_label("ZZ"): 1.0})
+    eigs = np.linalg.eigvals(build_unitary_part(zz, basis).matrix)
+    want = np.array([0] * 8 + [2j] * 4 + [-2j] * 4)
+    assert pairing_distance(eigs, want) < 1e-12
+
+    # the oracle's dense single-qubit case: H = Z
+    lu = oracle.build_unitary_part(np.array([[1.0, 0.0], [0.0, -1.0]]))
     eigs = np.linalg.eigvals(lu.matrix)
     assert pairing_distance(eigs, np.array([0, 0, 2j, -2j])) < 1e-12
 
 
 def test_unitary_part_is_antihermitian_with_symmetric_spectrum():
     h = sample_random_hamiltonian(3, seed=5)
-    lu = build_unitary_part(h)
-    assert np.abs(lu.matrix + lu.matrix.conj().T).max() < 1e-12
+    lu = build_unitary_part(h, PauliBasis(3))
+    assert lu.matrix.dtype == np.float64
+    assert np.abs(lu.matrix + lu.matrix.T).max() == 0.0
     eigs = np.linalg.eigvals(lu.matrix)
     assert np.abs(eigs.real).max() < 1e-10
     assert pairing_distance(eigs, -eigs) < 1e-8
@@ -151,12 +184,12 @@ def test_split_reconstruction_and_parts():
     # L_D = L_D0 + L_D1: the mean-diagonal part from d * 1 plus the
     # fluctuations from K - d * 1, by linearity in K
     k = sample_kossakowski(4, 2, seed=6)
-    jumps = jump_operator_set(4, 2)
+    jumps, basis = jump_operator_set(4, 2), PauliBasis(4)
     d = float(np.trace(k.k_matrix).real) / len(jumps)
     flat = d * np.eye(len(jumps))
-    diag = build_dissipator(flat, jumps)
-    off = build_dissipator(k.k_matrix - flat, jumps, validate=False)
-    full = build_dissipator(k, jumps)
+    diag = build_dissipator(flat, jumps, basis)
+    off = build_dissipator(k.k_matrix - flat, jumps, basis, validate=False)
+    full = build_dissipator(k, jumps, basis)
     assert np.abs(diag.matrix + off.matrix - full.matrix).max() < 1e-10
 
 
@@ -166,8 +199,9 @@ def test_split_reconstruction_and_parts():
 def test_assemble_linear_combinations():
     k = sample_kossakowski(2, 2, seed=8)
     h = sample_random_hamiltonian(2, seed=9)
-    ld = build_dissipator(k, jump_operator_set(2, 2))
-    lu = build_unitary_part(h)
+    basis = PauliBasis(2)
+    ld = build_dissipator(k, jump_operator_set(2, 2), basis)
+    lu = build_unitary_part(h, basis)
 
     zero_alpha = assemble(0.0, lu, ld)
     assert np.array_equal(zero_alpha.matrix, ld.matrix)
@@ -185,11 +219,12 @@ def test_assemble_linear_combinations():
 def test_assemble_rejects_mismatched_parts():
     k = sample_kossakowski(2, 2, seed=8)
     h = sample_random_hamiltonian(2, seed=9)
-    ld = build_dissipator(k, jump_operator_set(2, 2))
-    lu = build_unitary_part(h)
-    lup = pauli_basis_form(lu, PauliBasis(2))
+    ld = oracle.build_dissipator(k, jump_operator_set(2, 2))
+    lu = build_unitary_part(h, PauliBasis(2))
     with pytest.raises(ValueError):
-        assemble(1.0, lup, ld)  # basis mismatch
+        assemble(1.0, lu, ld)  # basis mismatch
+    with pytest.raises(ValueError):
+        assemble_weak(1.0, lu, ld)
 
 
 # ---------------------------------------------------------------- closed form
@@ -230,7 +265,11 @@ def test_pauli_form_preserves_spectrum():
     for num_sites in (2, 3, 4):
         k = sample_kossakowski(num_sites, 2, seed=10)
         h = sample_random_hamiltonian(num_sites, seed=11)
-        full = assemble(0.7, build_unitary_part(h), build_dissipator(k, jump_operator_set(num_sites, 2)))
+        full = assemble(
+            0.7,
+            oracle.build_unitary_part(h),
+            oracle.build_dissipator(k, jump_operator_set(num_sites, 2)),
+        )
         form = pauli_basis_form(full, PauliBasis(num_sites))
         a = np.linalg.eigvals(full.matrix)
         b = np.linalg.eigvals(form.matrix)
@@ -240,20 +279,23 @@ def test_pauli_form_preserves_spectrum():
 def test_full_spectrum_closed_under_conjugation():
     k = sample_kossakowski(3, 2, seed=12)
     h = sample_random_hamiltonian(3, seed=13)
-    full = assemble(0.5, build_unitary_part(h), build_dissipator(k, jump_operator_set(3, 2)))
+    basis = PauliBasis(3)
+    full = assemble(
+        0.5, build_unitary_part(h, basis), build_dissipator(k, jump_operator_set(3, 2), basis)
+    )
     eigs = np.linalg.eigvals(full.matrix)
     assert pairing_distance(eigs, eigs.conj()) < 1e-8
 
 
 def test_real_pauli_form_and_unitary_antisymmetry():
     h = sample_random_hamiltonian(3, seed=14)
-    lup = pauli_basis_form(build_unitary_part(h), PauliBasis(3))
+    lup = pauli_basis_form(oracle.build_unitary_part(h), PauliBasis(3))
     m = real_pauli_form(lup)
     assert m.dtype == np.float64
     assert np.abs(m + m.T).max() < 1e-10
 
     k = sample_kossakowski(3, 2, seed=15)
-    ldp = pauli_basis_form(build_dissipator(k, jump_operator_set(3, 2)), PauliBasis(3))
+    ldp = pauli_basis_form(oracle.build_dissipator(k, jump_operator_set(3, 2)), PauliBasis(3))
     real_pauli_form(ldp)  # no drift for Hermitian-jump generators
 
     poisoned = Superoperator(2, 1j * np.eye(16), basis=BASIS_PAULI)
@@ -263,9 +305,10 @@ def test_real_pauli_form_and_unitary_antisymmetry():
 
 def test_pauli_trace_violation_uses_identity_row():
     k = sample_kossakowski(2, 2, seed=16)
-    ld = build_dissipator(k, jump_operator_set(2, 2))
-    form = pauli_basis_form(ld, PauliBasis(2))
+    form = build_dissipator(k, jump_operator_set(2, 2), PauliBasis(2))
     assert form.trace_violation() < 1e-10
+    oracle_form = pauli_basis_form(oracle.build_dissipator(k, jump_operator_set(2, 2)), PauliBasis(2))
+    assert oracle_form.trace_violation() < 1e-10
 
 
 # ---------------------------------------------------------------- commutator generator
@@ -284,8 +327,9 @@ def test_unitary_pauli_matrix_matches_dense_route(num_sites):
     h = sample_random_hamiltonian(num_sites, seed=17)
     basis = PauliBasis(num_sites)
     sparse = unitary_pauli_matrix(h, basis).toarray()
-    dense = pauli_basis_form(build_unitary_part(h), basis).matrix
-    assert np.abs(sparse - dense).max() < 1e-10
+    assert np.array_equal(sparse, build_unitary_part(h, basis).matrix)
+    dense = pauli_basis_form(oracle.build_unitary_part(h), basis).matrix
+    assert np.abs(sparse - dense).max() < 1e-13
 
 
 def test_unitary_pauli_matrix_weight_adjacency_exact():
@@ -340,3 +384,47 @@ def test_unitary_pauli_matrix_truncated_basis_window():
     assert m.shape == (len(basis), len(basis))
     full = unitary_pauli_matrix(h, PauliBasis(3)).toarray()
     assert np.abs(m.toarray() - full[: len(basis), : len(basis)]).max() < 1e-14
+
+
+# ---------------------------------------------------------------- against the oracle
+
+
+def _k_max_cases():
+    return [(n, k_max) for n in (2, 3, 4, 5) for k_max in range(1, min(n, 3) + 1)]
+
+
+@pytest.mark.parametrize("num_sites,k_max", _k_max_cases())
+def test_dissipator_matches_kronecker_oracle(num_sites, k_max):
+    basis = PauliBasis(num_sites)
+    jumps = jump_operator_set(num_sites, k_max)
+    k = sample_kossakowski(num_sites, k_max, seed=40 + num_sites)
+    direct = build_dissipator(k, jumps, basis)
+    assert direct.basis == BASIS_PAULI
+    assert direct.matrix.dtype == np.float64
+    want = oracle.real_pauli(oracle.build_dissipator(k, jumps), basis)
+    assert np.abs(direct.matrix - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("num_sites", [2, 3, 4, 5])
+def test_unitary_part_matches_kronecker_oracle(num_sites):
+    basis = PauliBasis(num_sites)
+    models = [sample_random_hamiltonian(num_sites, seed=50 + num_sites)]
+    if num_sites > 2:
+        models.append(heisenberg_hamiltonian(num_sites))
+    for h in models:
+        want = oracle.real_pauli(oracle.build_unitary_part(h), basis)
+        direct = build_unitary_part(h, basis)
+        assert direct.basis == BASIS_PAULI
+        assert np.abs(direct.matrix - want).max() < 1e-13
+        assert np.abs(unitary_pauli_matrix(h, basis).toarray() - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("num_sites,lo,hi", [(3, 1, 2), (4, 0, 2), (5, 2, 4), (5, 1, 3)])
+def test_unitary_pauli_matrix_weight_window_matches_oracle(num_sites, lo, hi):
+    # a weight window is a contiguous slice of the full weight-major basis
+    full = PauliBasis(num_sites)
+    window = slice(full.sector(lo).start, full.sector(hi).stop)
+    for h in (sample_random_hamiltonian(num_sites, seed=60), heisenberg_hamiltonian(num_sites)):
+        want = oracle.real_pauli(oracle.build_unitary_part(h), full)[window, window]
+        got = unitary_pauli_matrix(h, PauliBasis(num_sites, max_weight=hi, min_weight=lo))
+        assert np.abs(got.toarray() - want).max() < 1e-13

@@ -260,16 +260,18 @@ def test_basis_membership_and_errors():
 
 def test_vectorized_lookup_agrees_with_index_of():
     rng = np.random.default_rng(7)
-    basis = PauliBasis(5, max_weight=2)
     strings = [random_string(rng, 5) for _ in range(300)]
     xs = np.array([s.x_bits for s in strings], dtype=np.uint64)
     zs = np.array([s.z_bits for s in strings], dtype=np.uint64)
-    got = basis.lookup(xs, zs)
-    for s, idx in zip(strings, got):
-        if s in basis:
-            assert idx == basis.index_of(s)
-        else:
-            assert idx == -1
+    # a weight window, and the complete basis with its direct key path
+    for basis in (PauliBasis(5, max_weight=2), PauliBasis(5)):
+        got = basis.lookup(xs, zs)
+        assert got.dtype == np.int64
+        for s, idx in zip(strings, got):
+            if s in basis:
+                assert idx == basis.index_of(s)
+            else:
+                assert idx == -1
 
 
 def test_bit_arrays_are_frozen():

@@ -20,8 +20,6 @@ from klindblad.liouvillian import (
     build_unitary_part,
     jump_operator_set,
     lambda0,
-    pauli_basis_form,
-    real_pauli_form,
     vec_identity,
 )
 from klindblad.pauli import PauliBasis, PauliString, to_dense
@@ -46,18 +44,19 @@ from klindblad.spectral import (
 )
 
 from conftest import pairing_distance
+import oracle
 
 
 def full_liouvillian(num_sites, alpha, k_seed=21, h_seed=32, basis_form="pauli"):
-    """Assembled alpha * L_U + L_D in the requested basis."""
+    """Assembled alpha * L_U + L_D in the requested basis; the
+    computational one comes from the Kronecker oracle."""
     k = sample_kossakowski(num_sites, 2, seed=k_seed)
     h = sample_random_hamiltonian(num_sites, seed=h_seed)
-    l_d = build_dissipator(k, jump_operator_set(num_sites, 2))
-    l_u = build_unitary_part(h)
-    s = assemble(alpha, l_u, l_d)
+    jumps = jump_operator_set(num_sites, 2)
     if basis_form == "computational":
-        return s
-    return pauli_basis_form(s, PauliBasis(num_sites))
+        return assemble(alpha, oracle.build_unitary_part(h), oracle.build_dissipator(k, jumps))
+    basis = PauliBasis(num_sites)
+    return assemble(alpha, build_unitary_part(h, basis), build_dissipator(k, jumps, basis))
 
 
 # --- eigendecomposition -----------------------------------------------------
@@ -229,9 +228,7 @@ def test_dissipative_cluster_populations_at_zero_coupling():
     for num_sites, expected in ((4, 12), (5, 15)):
         basis = PauliBasis(num_sites)
         k = sample_kossakowski(num_sites, 2, seed=21)
-        l_d = pauli_basis_form(
-            build_dissipator(k, jump_operator_set(num_sites, 2)), basis
-        )
+        l_d = build_dissipator(k, jump_operator_set(num_sites, 2), basis)
         eigs = diagonalize(l_d, vectors=False).eigenvalues
         centers = [(w, lambda0(w, num_sites)) for w in range(num_sites + 1)]
         report = cluster_by_centers(eigs, centers)
@@ -273,9 +270,7 @@ def test_diagonal_dissipator_modes_are_weight_pure():
     basis = PauliBasis(num_sites)
     k = sample_kossakowski(num_sites, 2, seed=4)
     flat = np.eye(k.jump_dimension) * k.mean_diagonal_target
-    l_d = pauli_basis_form(
-        build_dissipator(flat, jump_operator_set(num_sites, 2)), basis
-    )
+    l_d = build_dissipator(flat, jump_operator_set(num_sites, 2), basis)
     spec = diagonalize(l_d)
     for idx in range(spec.dim):
         profile = mode_weight_profile(spec.right_modes[:, idx], basis)
