@@ -61,10 +61,8 @@ from .perturbation import (
     first_order_block,
     h_count,
     predict,
-    predicted_center,
     second_order_exact,
     second_order_mean,
-    unitary_im_std_prediction,
 )
 from .spectral import (
     ClusterReport,

@@ -64,7 +64,6 @@ from .liouvillian import (
 from .pauli import PauliBasis
 from .perturbation import predict
 from .spectral import (
-    FILTER_IM_POS,
     ClusterReport,
     CsrHistogram,
     Spectrum,
@@ -216,10 +215,6 @@ class Realization:
     def l_d(self) -> Superoperator:
         jumps = jump_operator_set(self.cfg.sites, self.cfg.k_max)
         return build_dissipator(self.k, jumps, self.basis, allow_large=self.cfg.allow_large)
-
-    def generator(self, strength: float, form: Callable) -> Superoperator:
-        """``form(strength, L_U, L_D)``: ``assemble`` or ``assemble_weak``."""
-        return form(strength, self.l_u, self.l_d)
 
     def digests(self) -> dict:
         return {
@@ -381,7 +376,7 @@ def _spectrum_worker(rz: Realization) -> dict:
     probe = random_weight_operator(rz.basis, 2, rz.stream(STREAM_ANALYSIS))
     per_alpha = {}
     for alpha in rz.cfg.alphas:
-        spectrum = diagonalize(rz.generator(alpha, assemble))
+        spectrum = diagonalize(assemble(alpha, rz.l_u, rz.l_d))
         rows, report = _labelled_rows(rz, alpha, spectrum, probe)
         rescale = 1.0 / alpha if alpha > 0 else None
         per_alpha[alpha] = {"rows": rows, "clusters": _cluster_payload(report, rescale)}
@@ -414,7 +409,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 def _beta_worker(rz: Realization) -> dict:
     per_beta = {}
     for beta in rz.cfg.betas:
-        eigs = diagonalize(rz.generator(beta, assemble_weak), vectors=False).eigenvalues
+        eigs = diagonalize(assemble_weak(beta, rz.l_u, rz.l_d), vectors=False).eigenvalues
         labels = ["steady" if abs(v) < 1e-8 else _EMPTY for v in eigs]
         per_beta[beta] = {
             "rows": _eigen_rows(rz.cfg.seed, beta, eigs, labels, None, None, rz.cfg.sites),
@@ -449,12 +444,10 @@ def _csr_worker(rz: Realization) -> dict:
     ratios = {}
     for key in ("unitary",) if cfg.unitary_only else cfg.alphas:
         eigs = diagonalize(
-            rz.l_u if key == "unitary" else rz.generator(key, assemble),
+            rz.l_u if key == "unitary" else assemble(key, rz.l_u, rz.l_d),
             vectors=False,
         ).eigenvalues
-        hist = complex_spacing_ratios(
-            eigs, FILTER_IM_POS, bins=cfg.bins, min_count=cfg.min_ratios
-        )
+        hist = complex_spacing_ratios(eigs, bins=cfg.bins, min_count=cfg.min_ratios)
         ratios[key] = hist.ratios
     return ratios
 
@@ -493,7 +486,7 @@ def cmd_csr(cfg: ExperimentConfig) -> int:
     out.write_rows("csr_ginibre.csv", _HIST_HEADER, _hist_rows(ginibre))
     out.write_rows("csr_poisson.csv", _HIST_HEADER, _hist_rows(poisson))
     summary = {
-        "filter": FILTER_IM_POS,
+        "filter": "im-pos",
         "bins": cfg.bins,
         "poisson_geometry": geometry,
         "ginibre_mean_ratio": ginibre.mean_ratio,
@@ -528,7 +521,7 @@ def _heisenberg_worker(rz: Realization) -> dict:
     rows = {}
     for alpha in alphas:
         # right modes only at the strongest coupling, where persistence is read
-        spectrum = diagonalize(rz.generator(alpha, assemble), vectors=alpha == alphas[-1])
+        spectrum = diagonalize(assemble(alpha, rz.l_u, rz.l_d), vectors=alpha == alphas[-1])
         sweep.append((alpha, spectrum))
         rows[alpha] = _labelled_rows(rz, alpha, spectrum, probe)[0]
 
@@ -638,7 +631,7 @@ def cmd_heisenberg(cfg: ExperimentConfig) -> int:
 
 def _density_worker(rz: Realization) -> dict:
     return {
-        alpha: diagonalize(rz.generator(alpha, assemble), vectors=False).eigenvalues
+        alpha: diagonalize(assemble(alpha, rz.l_u, rz.l_d), vectors=False).eigenvalues
         for alpha in rz.cfg.alphas
     }
 

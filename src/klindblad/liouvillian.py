@@ -20,12 +20,13 @@ the same object with the scale moved.
 Matrices are dense, 4^num_sites on a side, so building is refused above
 MAX_SUPEROPERATOR_SITES unless explicitly overridden.  ``pauli_basis_form``
 and ``real_pauli_form`` carry a column-stacked computational-basis matrix
-into the same real form; they serve as an independent cross-check.
+into the same real form; nothing in the package calls them, and they remain
+only for the Kronecker test oracle and the benchmark's layer tracer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
 from typing import Sequence, Union
@@ -39,8 +40,6 @@ from .pauli import PauliBasis, PauliString, enumerate_basis
 
 __all__ = [
     "MAX_SUPEROPERATOR_SITES",
-    "BASIS_COMPUTATIONAL",
-    "BASIS_PAULI",
     "JumpOperatorSet",
     "Superoperator",
     "jump_operator_set",
@@ -50,7 +49,6 @@ __all__ = [
     "assemble_weak",
     "lambda0",
     "lambda0_fraction",
-    "vec_identity",
     "string_basis_matrix",
     "pauli_basis_form",
     "real_pauli_form",
@@ -58,9 +56,6 @@ __all__ = [
 ]
 
 MAX_SUPEROPERATOR_SITES = 6
-
-BASIS_COMPUTATIONAL = "computational"
-BASIS_PAULI = "pauli"
 
 
 def _check_size(num_sites: int, allow_large: bool) -> None:
@@ -106,15 +101,12 @@ def jump_operator_set(num_sites: int, k_max: int = 2) -> JumpOperatorSet:
 
 @dataclass
 class Superoperator:
-    """Dense superoperator matrix tagged with its basis."""
+    """Dense superoperator matrix over the orthonormal string basis."""
 
     num_sites: int
     matrix: np.ndarray
-    basis: str = BASIS_COMPUTATIONAL
 
     def __post_init__(self) -> None:
-        if self.basis not in (BASIS_COMPUTATIONAL, BASIS_PAULI):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
         dim = 4**self.num_sites
         if self.matrix.shape != (dim, dim):
             raise ValueError(
@@ -126,22 +118,9 @@ class Superoperator:
         return self.matrix.shape[0]
 
     def trace_violation(self) -> float:
-        """Max deviation of the trace-preservation row identity.
-
-        In the computational vectorization the row vector vec(1)^dag must
-        annihilate the matrix; in the Pauli basis the identity string owns
-        row 0, so that row must vanish instead.
-        """
-        if self.basis == BASIS_COMPUTATIONAL:
-            row = vec_identity(self.num_sites).conj() @ self.matrix
-        else:
-            row = self.matrix[0]
-        return float(np.abs(row).max())
-
-
-def vec_identity(num_sites: int) -> np.ndarray:
-    dim = 1 << num_sites
-    return np.eye(dim, dtype=complex).reshape(-1, order="F")
+        """Max deviation of the trace-preservation row identity: the
+        identity string owns row 0, so that row must vanish."""
+        return float(np.abs(self.matrix[0]).max())
 
 
 def _coupling_matrix(k: Union[KossakowskiSample, np.ndarray], jumps: JumpOperatorSet) -> np.ndarray:
@@ -256,7 +235,7 @@ def build_dissipator(
         out[basis.lookup(cx ^ bx, cz ^ bz), cols] = a.real
     if residue > 1e-10:
         raise NumericalError(f"imaginary residue {residue:.3e} exceeds 1e-10")
-    return Superoperator(num_sites, out, BASIS_PAULI)
+    return Superoperator(num_sites, out)
 
 
 def _commutator_entries(
@@ -298,18 +277,16 @@ def build_unitary_part(
     rows, cols, vals = _commutator_entries(h, basis)
     out = np.zeros((len(basis), len(basis)))
     out[rows, cols] = vals
-    return Superoperator(h.num_sites, out, BASIS_PAULI)
+    return Superoperator(h.num_sites, out)
 
 
 def _combine(scaled: Superoperator, weight: float, unit: Superoperator) -> Superoperator:
     """weight * scaled + unit, with one new matrix."""
     if scaled.num_sites != unit.num_sites:
         raise ValueError("parts disagree on num_sites")
-    if scaled.basis != unit.basis:
-        raise ValueError(f"parts disagree on basis: {scaled.basis!r} vs {unit.basis!r}")
     matrix = np.multiply(weight, scaled.matrix)
     matrix += unit.matrix
-    return Superoperator(unit.num_sites, matrix, unit.basis)
+    return Superoperator(unit.num_sites, matrix)
 
 
 def assemble(alpha: float, unitary: Superoperator, dissipator: Superoperator) -> Superoperator:
@@ -373,20 +350,19 @@ def string_basis_matrix(basis: PauliBasis) -> sp.csc_matrix:
 
 
 def pauli_basis_form(s: Superoperator, basis: PauliBasis) -> Superoperator:
-    """Conjugate into the orthonormal Pauli string basis, B^dag M B.
+    """Conjugate a column-stacked computational-basis matrix into the
+    orthonormal Pauli string basis, B^dag M B.
 
     The basis must be complete (all 4^l strings) so the spectrum is
     preserved; the transform is a unitary change of basis.
     """
-    if s.basis != BASIS_COMPUTATIONAL:
-        raise ValueError(f"expected a computational-basis superoperator, got {s.basis!r}")
     if basis.num_sites != s.num_sites:
         raise ValueError("basis and superoperator disagree on num_sites")
     if len(basis) != 4**s.num_sites:
         raise ValueError(f"need the complete string basis, got {len(basis)} of {4**s.num_sites}")
     b = string_basis_matrix(basis)
     m = (b.conj().T @ s.matrix) @ b
-    return replace(s, matrix=np.asarray(m), basis=BASIS_PAULI)
+    return Superoperator(s.num_sites, np.asarray(m))
 
 
 def real_pauli_form(s: Superoperator, tol: float = 1e-10) -> np.ndarray:
@@ -396,8 +372,6 @@ def real_pauli_form(s: Superoperator, tol: float = 1e-10) -> np.ndarray:
     matrix elements between Hermitian basis strings; anything beyond ``tol``
     of residual imaginary part means the input was not such a generator.
     """
-    if s.basis != BASIS_PAULI:
-        raise ValueError("real form is only defined for the Pauli basis")
     drift = float(np.abs(s.matrix.imag).max())
     if drift > tol:
         raise NumericalError(f"imaginary residue {drift:.3e} exceeds {tol:.0e}")

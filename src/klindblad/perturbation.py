@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 from typing import Optional
 
 import numpy as np
@@ -30,13 +29,11 @@ __all__ = [
     "second_order_mean",
     "second_order_mean_fraction",
     "second_order_exact",
-    "predicted_center",
     "WeightGroup",
     "degenerate_groups",
     "consecutive_degenerate_pair",
     "FirstOrderBlock",
     "first_order_block",
-    "unitary_im_std_prediction",
     "PerturbationPrediction",
     "predict",
 ]
@@ -132,11 +129,6 @@ def second_order_exact(k: int, h: HamiltonianSpec, basis: PauliBasis) -> float:
     return total / sector_dimension(num_sites, k)
 
 
-def predicted_center(k: int, num_sites: int, alpha: float) -> float:
-    """Shifted cluster center lambda0(k) + <lambda2(k)> * alpha^2."""
-    return float(lambda0_fraction(k, num_sites)) + second_order_mean(k, num_sites) * alpha**2
-
-
 @dataclass(frozen=True)
 class WeightGroup:
     """Weights sharing one exact cluster center."""
@@ -228,15 +220,6 @@ def first_order_block(
     block[n_lo:, :n_lo] = -v.T
     sigma = np.linalg.svd(v, compute_uv=False)
     return FirstOrderBlock(lo, hi, block, sigma)
-
-
-def unitary_im_std_prediction() -> float:
-    """Std of the purely unitary eigenvalue imaginary parts.
-
-    For traceless H with Tr H^2 = 2^l, the N^2 level differences E_n - E_m
-    have population mean 0 and variance exactly 2.
-    """
-    return sqrt(2.0)
 
 
 @dataclass(frozen=True)

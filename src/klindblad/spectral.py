@@ -22,19 +22,10 @@ import numpy as np
 
 from .ensemble import HamiltonianSpec
 from .errors import EigensolverError, SpectralAnalysisError
-from .liouvillian import (
-    BASIS_COMPUTATIONAL,
-    BASIS_PAULI,
-    Superoperator,
-    string_basis_matrix,
-    unitary_pauli_matrix,
-    vec_identity,
-)
+from .liouvillian import Superoperator, unitary_pauli_matrix
 from .pauli import PauliBasis
 
 __all__ = [
-    "FILTER_IM_POS",
-    "FILTER_NONE",
     "Spectrum",
     "diagonalize",
     "CptpReport",
@@ -61,9 +52,6 @@ __all__ = [
     "evolve_expectation",
 ]
 
-FILTER_IM_POS = "im-pos"
-FILTER_NONE = "none"
-
 STEADY_TOL = 1e-8
 
 
@@ -82,7 +70,6 @@ class Spectrum:
     """
 
     num_sites: int
-    basis: str
     eigenvalues: np.ndarray
     right_modes: Optional[np.ndarray] = field(default=None, repr=False)
     left_modes: Optional[np.ndarray] = field(default=None, repr=False)
@@ -116,7 +103,7 @@ def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
         if not vectors:
             eigs = np.linalg.eigvals(m)
             order = _canonical_order(eigs)
-            return Spectrum(s.num_sites, s.basis, eigs[order])
+            return Spectrum(s.num_sites, eigs[order])
         eigs, right = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed on {_fingerprint(m)}") from exc
@@ -128,10 +115,10 @@ def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
         left = np.linalg.inv(right)
     except np.linalg.LinAlgError:
         return Spectrum(
-            s.num_sites, s.basis, eigs, right, None, diag_residual, np.inf, diagonalizable=False
+            s.num_sites, eigs, right, None, diag_residual, np.inf, diagonalizable=False
         )
     biorth = float(np.abs(left @ right - np.eye(right.shape[0])).max())
-    return Spectrum(s.num_sites, s.basis, eigs, right, left, diag_residual, biorth, biorth < 1e-6)
+    return Spectrum(s.num_sites, eigs, right, left, diag_residual, biorth, biorth < 1e-6)
 
 
 def conjugation_residual(eigs: np.ndarray, chunk: int = 512) -> float:
@@ -181,13 +168,8 @@ def cptp_checks(spectrum: Spectrum, tol: float = 1e-8) -> CptpReport:
     if spectrum.left_modes is not None and zero_present:
         idx = int(spectrum.steady_indices(tol)[0])
         left = spectrum.left_modes[idx]
-        if spectrum.basis == BASIS_COMPUTATIONAL:
-            ident = vec_identity(spectrum.num_sites)
-            ident = ident / np.linalg.norm(ident)
-        else:
-            ident = np.zeros(spectrum.dim, dtype=complex)
-            ident[0] = 1.0  # identity string owns index 0
-        overlap = float(np.abs(np.vdot(ident, left)) / np.linalg.norm(left))
+        # the identity string owns index 0
+        overlap = float(np.abs(left[0]) / np.linalg.norm(left))
         overlap_ok = overlap > 1.0 - 1e-8
     return CptpReport(
         max_re,
@@ -234,33 +216,25 @@ def _spacing_ratios(points: np.ndarray) -> np.ndarray:
     return ratios
 
 
-def _apply_filter(eigs: np.ndarray, half_plane: str) -> np.ndarray:
-    if half_plane == FILTER_IM_POS:
-        return eigs[eigs.imag > 0]
-    if half_plane == FILTER_NONE:
-        return eigs
-    raise ValueError(f"unknown half-plane filter {half_plane!r}")
-
-
 def complex_spacing_ratios(
     eigs: np.ndarray,
-    half_plane: str = FILTER_IM_POS,
     bins: int = 20,
     min_count: int = 3,
 ) -> CsrHistogram:
     """Ratio |l - l_nn| / |l - l_nnn| for each retained eigenvalue.
 
-    The half-plane filter deduplicates the conjugate-symmetric spectrum
-    before neighbor search; Im > 0 keeps one eigenvalue of each conjugate
-    pair.  Requires at least ``min_count``
-    retained eigenvalues, and never fewer than 3.
+    Only eigenvalues with Im > 1e-10 are kept: that deduplicates the
+    conjugate-symmetric spectrum before neighbor search, keeping one of
+    each conjugate pair, and drops the real eigenvalues, whose sign of Im
+    is rounding noise.  Requires at least ``min_count`` retained eigenvalues,
+    and never fewer than 3.
     """
     eigs = np.asarray(eigs, dtype=complex).ravel()
-    kept = _apply_filter(eigs, half_plane)
+    kept = eigs[eigs.imag > 1e-10]
     needed = max(int(min_count), 3)
     if kept.size < needed:
         raise SpectralAnalysisError(
-            f"{kept.size} eigenvalues remain after the {half_plane!r} filter; "
+            f"{kept.size} eigenvalues have Im > 1e-10; "
             f"need at least {needed} for spacing ratios"
         )
     ratios = _spacing_ratios(kept)
@@ -418,31 +392,20 @@ def cluster_by_centers(
 # --- eigenmode operator content ---------------------------------------------
 
 
-def _as_string_coefficients(
-    mode: np.ndarray, basis: PauliBasis, mode_basis: str
-) -> np.ndarray:
-    if mode_basis == BASIS_PAULI:
-        coeffs = np.asarray(mode, dtype=complex)
-        if coeffs.size != len(basis):
-            raise ValueError(f"mode length {coeffs.size} does not match basis size {len(basis)}")
-        return coeffs
-    if mode_basis == BASIS_COMPUTATIONAL:
-        b = string_basis_matrix(basis)
-        return np.asarray(b.conj().T @ np.asarray(mode, dtype=complex))
-    raise ValueError(f"unknown mode basis {mode_basis!r}")
+def _as_string_coefficients(mode: np.ndarray, basis: PauliBasis) -> np.ndarray:
+    coeffs = np.asarray(mode, dtype=complex)
+    if coeffs.size != len(basis):
+        raise ValueError(f"mode length {coeffs.size} does not match basis size {len(basis)}")
+    return coeffs
 
 
-def mode_weight_profile(
-    mode: np.ndarray,
-    basis: PauliBasis,
-    mode_basis: str = BASIS_PAULI,
-) -> np.ndarray:
+def mode_weight_profile(mode: np.ndarray, basis: PauliBasis) -> np.ndarray:
     """Operator-weight content w_k = sum over weight-k strings of |<S|mode>|^2.
 
     Indexed by weight from basis.min_weight to basis.max_weight; sums to 1
     for any complete basis after the internal normalization.
     """
-    coeffs = _as_string_coefficients(mode, basis, mode_basis)
+    coeffs = _as_string_coefficients(mode, basis)
     norm = np.linalg.norm(coeffs)
     if norm == 0.0:
         raise SpectralAnalysisError("zero mode vector has no weight profile")
@@ -470,14 +433,13 @@ def operator_overlap(
     mode: np.ndarray,
     operator_coeffs: np.ndarray,
     basis: PauliBasis,
-    mode_basis: str = BASIS_PAULI,
 ) -> float:
     """|<operator|mode>| with both sides unit-normalized.
 
     Both vectors live in the orthonormal string basis, where the inner
     product equals the normalized trace pairing of the operators.
     """
-    coeffs = _as_string_coefficients(mode, basis, mode_basis)
+    coeffs = _as_string_coefficients(mode, basis)
     norm = np.linalg.norm(coeffs)
     if norm == 0.0:
         raise SpectralAnalysisError("zero mode vector")
@@ -587,8 +549,6 @@ def persistent_modes(
     final = sweep[-1][1]
     if final.right_modes is None:
         raise ValueError("the largest-coupling spectrum must carry eigenmodes")
-    if final.basis != BASIS_PAULI:
-        raise ValueError("persistence analysis expects string-basis spectra")
 
     merged = _merge_centers(centers, merge_tol)
 

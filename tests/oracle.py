@@ -4,7 +4,9 @@ string-basis generators of ``klindblad.liouvillian``.
 Vectorization is column-stacking, vec(A rho B) = (B^T kron A) vec(rho).
 These builders form complex 4^l x 4^l matrices from dense jump operators,
 so they are slow and memory-hungry above 5 sites; ``real_pauli`` rotates
-their output into the production representation.
+their output into the production representation.  The package itself has
+only that representation, so the column-stacked trace functional
+``vec_identity`` lives here too.
 """
 
 from math import sqrt
@@ -20,6 +22,12 @@ from klindblad.liouvillian import (
     real_pauli_form,
 )
 from klindblad.pauli import PauliBasis, to_dense
+
+
+def vec_identity(num_sites: int) -> np.ndarray:
+    """vec(1), whose conjugate row annihilates a trace-preserving generator."""
+    dim = 1 << num_sites
+    return np.eye(dim, dtype=complex).reshape(-1, order="F")
 
 
 def jump_stack(jumps: JumpOperatorSet) -> np.ndarray:

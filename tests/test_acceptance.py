@@ -39,7 +39,6 @@ from klindblad.liouvillian import (
 from klindblad.pauli import PauliBasis, commutator, multiply, to_dense
 from klindblad.perturbation import predict
 from klindblad.spectral import (
-    FILTER_IM_POS,
     cluster_by_centers,
     commutant_basis,
     complex_spacing_ratios,
@@ -362,15 +361,12 @@ def csr_pools():
         k = sample_kossakowski(num_sites, 2, rng=substream(seed, r, STREAM_KOSSAKOWSKI))
         h = sample_random_hamiltonian(num_sites, rng=substream(seed, r, STREAM_HAMILTONIAN))
         l_u, l_d = build_unitary_part(h, basis), build_dissipator(k, jumps, basis)
-        u_eigs = np.linalg.eigvals(l_u.matrix)
-        # exactly degenerate level differences sit on the real axis up to
-        # solver noise; their mutual spacings carry no statistics
-        pools["unitary"].append(
-            complex_spacing_ratios(u_eigs[u_eigs.imag > 1e-10]).ratios
-        )
+        # the exactly degenerate level differences of L_U sit on the real
+        # axis up to solver noise; the Im > 1e-10 cut drops them
+        pools["unitary"].append(complex_spacing_ratios(np.linalg.eigvals(l_u.matrix)).ratios)
         for alpha in CSR_ALPHAS:
             eigs = np.linalg.eigvals(assemble(alpha, l_u, l_d).matrix)
-            pools[alpha].append(complex_spacing_ratios(eigs, FILTER_IM_POS).ratios)
+            pools[alpha].append(complex_spacing_ratios(eigs).ratios)
     return {key: np.concatenate(value) for key, value in pools.items()}
 
 

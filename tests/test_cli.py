@@ -183,6 +183,16 @@ def test_csr_unitary_only_uses_line_reference(tmp_path, monkeypatch):
     assert set(summary["data"]) == {"unitary"}
 
 
+def test_csr_unitary_only_keeps_only_nonzero_level_differences(tmp_path):
+    # of the 4^l differences E_n - E_m, the 2^l with n = m are zero and sit
+    # on the real axis up to solver noise; half of the rest have Im > 0
+    out = tmp_path / "run"
+    assert run("csr", "--sites", 4, "--seed", 1, "--unitary-only", "--realizations", 2,
+               "--min-ratios", 3, "--out", out) == 0
+    summary = json.loads((out / "csr_summary.json").read_text())
+    assert summary["data"]["unitary"]["ratio_count"] == 2 * (4**4 - 2**4) // 2
+
+
 def test_csr_too_few_ratios_is_config_error(tmp_path, capsys):
     # 4 energies give only 6 upper-half-plane differences, under the default 10
     assert run("csr", "--sites", 2, "--seed", 1, "--unitary-only",

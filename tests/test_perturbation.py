@@ -21,11 +21,9 @@ from klindblad.perturbation import (
     first_order_block,
     h_count,
     predict,
-    predicted_center,
     second_order_exact,
     second_order_mean,
     second_order_mean_fraction,
-    unitary_im_std_prediction,
 )
 from klindblad.liouvillian import lambda0_fraction
 
@@ -153,8 +151,8 @@ def test_shift_refuses_degenerate_neighbors():
 def test_predicted_center_combines_pieces():
     alpha = 0.1
     expected = -64.0 / 153.0 + (-17.0 / 6.0) * alpha**2
-    assert predicted_center(1, 6, alpha) == pytest.approx(expected, abs=1e-12)
-    assert predicted_center(1, 6, 0.0) == pytest.approx(-64.0 / 153.0, abs=1e-15)
+    assert predict(6).center(1, alpha) == pytest.approx(expected, abs=1e-12)
+    assert predict(6).center(1, 0.0) == pytest.approx(-64.0 / 153.0, abs=1e-15)
 
 
 # --- exact second order for one Hamiltonian ---------------------------------
@@ -300,10 +298,6 @@ def test_first_order_block_argument_checks():
         first_order_block(h, 1, 2, PauliBasis(4, max_weight=1))
 
 
-def test_unitary_im_std_prediction_value():
-    assert unitary_im_std_prediction() == pytest.approx(np.sqrt(2.0), abs=0.0)
-
-
 # --- bundled prediction -----------------------------------------------------
 
 
@@ -321,7 +315,8 @@ def test_predict_bundle_consistency():
     assert [g.weights for g in pred.groups] == [(0,), (1,), (2,), (3, 6), (4, 5)]
 
     alpha = 0.2
-    assert pred.center(1, alpha) == pytest.approx(predicted_center(1, 6, alpha))
+    want = float(lambda0_fraction(1, 6)) + second_order_mean(1, 6) * alpha**2
+    assert pred.center(1, alpha) == pytest.approx(want)
     with pytest.raises(DegenerateWeightError):
         pred.center(4, alpha)
 

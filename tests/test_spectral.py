@@ -12,20 +12,15 @@ from klindblad.ensemble import (
 )
 from klindblad.errors import SpectralAnalysisError
 from klindblad.liouvillian import (
-    BASIS_COMPUTATIONAL,
-    BASIS_PAULI,
     Superoperator,
     assemble,
     build_dissipator,
     build_unitary_part,
     jump_operator_set,
     lambda0,
-    vec_identity,
 )
 from klindblad.pauli import PauliBasis, PauliString, to_dense
 from klindblad.spectral import (
-    FILTER_IM_POS,
-    FILTER_NONE,
     cluster_by_centers,
     commutant_basis,
     complex_spacing_ratios,
@@ -67,7 +62,6 @@ def test_diagonalize_invariants():
     spec = diagonalize(s)
     assert spec.diagonalizable
     assert spec.dim == 64
-    assert spec.basis == BASIS_PAULI
     m = s.matrix
     residual = np.abs(m @ spec.right_modes - spec.right_modes * spec.eigenvalues).max()
     assert residual < 1e-8
@@ -98,20 +92,19 @@ def test_eigenvalues_only_matches_full_solve():
 
 
 def test_cptp_checks_on_full_liouvillian():
-    for basis_form in ("pauli", "computational"):
-        spec = diagonalize(full_liouvillian(3, 0.7, basis_form=basis_form))
-        report = cptp_checks(spec)
-        assert report.all_ok, (basis_form, report)
-        assert report.max_re < 1e-8
-        assert report.zero_mode_present
-        assert report.conjugation_residual < 1e-8
-        assert report.steady_identity_overlap > 1.0 - 1e-8
+    spec = diagonalize(full_liouvillian(3, 0.7))
+    report = cptp_checks(spec)
+    assert report.all_ok, report
+    assert report.max_re < 1e-8
+    assert report.zero_mode_present
+    assert report.conjugation_residual < 1e-8
+    assert report.steady_identity_overlap > 1.0 - 1e-8
 
 
 def test_identity_is_the_trace_functional():
     """The steady left mode is vec(1) in either basis convention."""
     s = full_liouvillian(2, 0.4, basis_form="computational")
-    ident = vec_identity(2)
+    ident = oracle.vec_identity(2)
     assert np.abs(ident @ s.matrix).max() < 1e-12
 
 
@@ -127,35 +120,39 @@ def test_conjugation_residual_values():
 
 
 def test_csr_equally_spaced_triple():
-    hist = complex_spacing_ratios(np.array([0.0, 1.0, 2.0], dtype=complex), FILTER_NONE)
+    hist = complex_spacing_ratios(np.array([0.0, 1.0, 2.0]) + 1j)
     assert sorted(hist.ratios) == pytest.approx([0.5, 0.5, 1.0])
 
 
 def test_csr_values_bounded_and_affine_invariant():
     rng = np.random.default_rng(5)
-    eigs = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    base = complex_spacing_ratios(eigs, FILTER_NONE)
+    eigs = rng.standard_normal(200) + 1j * rng.uniform(0.1, 2.0, 200)
+    base = complex_spacing_ratios(eigs)
+    assert base.ratios.size == 200
     assert np.all(base.ratios >= 0.0) and np.all(base.ratios <= 1.0)
-    moved = complex_spacing_ratios(2.5 * eigs + (3.0 - 4.0j), FILTER_NONE)
+    # a real scale and a shift with positive Im keep every point kept
+    moved = complex_spacing_ratios(2.5 * eigs + (3.0 + 4.0j))
+    assert moved.ratios.size == 200
     assert np.abs(np.sort(base.ratios) - np.sort(moved.ratios)).max() < 1e-12
 
 
 def test_csr_half_plane_filter():
     eigs = np.array([1j, 2j, 3j, -1j, -2j, -3j, 0.5 + 1j])
-    hist = complex_spacing_ratios(eigs, FILTER_IM_POS)
+    hist = complex_spacing_ratios(eigs)
     assert hist.ratios.size == 4
+    # Im at or below 1e-10 counts as real and is dropped with the lower half
+    noisy = np.concatenate([eigs, [2.0 + 1e-12j, 3.0 + 1e-10j, 4.0]])
+    assert np.array_equal(complex_spacing_ratios(noisy).ratios, hist.ratios)
     with pytest.raises(SpectralAnalysisError):
-        complex_spacing_ratios(np.array([1j, 2j]), FILTER_IM_POS)
+        complex_spacing_ratios(np.array([1j, 2j]))
     with pytest.raises(SpectralAnalysisError):
-        complex_spacing_ratios(eigs, FILTER_IM_POS, min_count=10)
-    with pytest.raises(ValueError):
-        complex_spacing_ratios(eigs, "upper-left")
+        complex_spacing_ratios(eigs, min_count=10)
 
 
 def test_csr_histogram_density_normalization():
     rng = np.random.default_rng(11)
-    eigs = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    hist = complex_spacing_ratios(eigs, FILTER_NONE, bins=25)
+    eigs = rng.standard_normal(500) + 1j * rng.uniform(0.1, 2.0, 500)
+    hist = complex_spacing_ratios(eigs, bins=25)
     widths = np.diff(hist.bin_edges)
     assert float((hist.density * widths).sum()) == pytest.approx(1.0)
     assert int(hist.counts.sum()) == hist.ratios.size
@@ -254,15 +251,6 @@ def test_mode_weight_profile_basics():
     assert np.abs(profile - rotated).max() < 1e-14
     with pytest.raises(SpectralAnalysisError):
         mode_weight_profile(np.zeros(64), basis)
-
-
-def test_mode_weight_profile_computational_basis():
-    """A dense-vectorized string has all its mass at its own weight."""
-    basis = PauliBasis(2)
-    s = PauliString.from_label("XZ")
-    vec = to_dense(s).reshape(-1, order="F")
-    profile = mode_weight_profile(vec, basis, mode_basis=BASIS_COMPUTATIONAL)
-    assert profile[2] == pytest.approx(1.0)
 
 
 def test_diagonal_dissipator_modes_are_weight_pure():
@@ -364,10 +352,7 @@ def test_commutant_weight_bounds():
 
 def fabricated_spectrum(eigs, basis):
     """Diagonal superoperator whose modes are the basis strings."""
-    s = Superoperator(
-        basis.num_sites, np.diag(np.asarray(eigs, dtype=complex)), basis=BASIS_PAULI
-    )
-    return diagonalize(s)
+    return diagonalize(Superoperator(basis.num_sites, np.diag(np.asarray(eigs, dtype=complex))))
 
 
 def test_persistence_tracker_on_fabricated_sweep():
@@ -430,14 +415,10 @@ def test_persistence_argument_validation():
     with pytest.raises(ValueError):
         persistent_modes([(1.0, spec)], basis, [(1, -0.5)])
     bare = diagonalize(
-        Superoperator(2, np.diag(np.linspace(-1, 0, 16)).astype(complex), basis=BASIS_PAULI),
-        vectors=False,
+        Superoperator(2, np.diag(np.linspace(-1, 0, 16)).astype(complex)), vectors=False
     )
     with pytest.raises(ValueError):
         persistent_modes([(1.0, spec), (2.0, bare)], basis, [(1, -0.5)])
-    comp = diagonalize(Superoperator(2, np.diag(np.linspace(-1, 0, 16)).astype(complex)))
-    with pytest.raises(ValueError):
-        persistent_modes([(1.0, spec), (2.0, comp)], basis, [(1, -0.5)])
 
 
 # --- spectral density -------------------------------------------------------
@@ -509,7 +490,6 @@ def test_evolution_requires_diagonalizable_spectrum():
     eigs = np.zeros(16, dtype=complex)
     bad = Spectrum(
         2,
-        BASIS_PAULI,
         eigs,
         np.eye(16, dtype=complex),
         None,
