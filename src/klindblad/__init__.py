@@ -85,6 +85,7 @@ from .spectral import (
     persistent_modes,
     random_weight_operator,
     spectral_density,
+    unitary_eigenvalues,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,9 @@
 
 Subcommands map onto the standard analyses: ``spectrum`` (cluster structure
 across the dissipation-to-coupling ratio), ``sweep-beta`` (weak-dissipation
-scaling), ``csr`` (spacing-ratio statistics with synthetic references),
+scaling; beta = 0 is the spectrum of L_U, taken from the levels of H),
+``csr`` (spacing-ratio statistics with synthetic references; ``--unitary-only``
+uses the differences of the distinct levels of H),
 ``heisenberg`` (structured Hamiltonian with random dissipation), and
 ``density`` (self-averaging of the spectral density).
 
@@ -77,6 +79,7 @@ from .spectral import (
     persistent_modes,
     random_weight_operator,
     spectral_density,
+    unitary_eigenvalues,
 )
 
 MIN_SITES = 2
@@ -191,8 +194,9 @@ class Realization:
 
     K and H come from the realization's own substreams, so they do not
     depend on the coupling list.  L_U and L_D are real string-basis
-    matrices built once; each coupling then costs one scaled add.  L_D is
-    built on first use, so a unitary-only run never builds it.
+    matrices built once, on first use; each coupling then costs one scaled
+    add.  The spectrum of L_U alone comes from the levels of H, so a
+    unitary-only or beta = 0 run builds neither.
     """
 
     def __init__(self, cfg: ExperimentConfig, index: int):
@@ -206,10 +210,13 @@ class Realization:
                 cfg.sites, rng=self.stream(STREAM_HAMILTONIAN), exact_norm=cfg.exact_h_norm
             )
         self.basis = PauliBasis(cfg.sites)
-        self.l_u = build_unitary_part(self.h, self.basis, allow_large=cfg.allow_large)
 
     def stream(self, purpose: int) -> np.random.Generator:
         return substream(self.cfg.seed, self.index, purpose)
+
+    @cached_property
+    def l_u(self) -> Superoperator:
+        return build_unitary_part(self.h, self.basis, allow_large=self.cfg.allow_large)
 
     @cached_property
     def l_d(self) -> Superoperator:
@@ -344,10 +351,12 @@ def _run_pool(analyze: Callable, cfg: ExperimentConfig) -> tuple[list[dict], lis
     the results, merged in realization order regardless of worker
     completion order."""
     indices = range(cfg.realizations)
-    if cfg.workers <= 1:
+    # a worker beyond the realization count would never get a task
+    workers = min(cfg.workers, cfg.realizations)
+    if workers <= 1:
         pairs = [_realize(analyze, cfg, r) for r in indices]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_realize, analyze, cfg, r) for r in indices]
             pairs = [f.result() for f in futures]
     return [models for models, _ in pairs], [result for _, result in pairs]
@@ -409,7 +418,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 def _beta_worker(rz: Realization) -> dict:
     per_beta = {}
     for beta in rz.cfg.betas:
-        eigs = diagonalize(assemble_weak(beta, rz.l_u, rz.l_d), vectors=False).eigenvalues
+        if beta == 0:
+            eigs = unitary_eigenvalues(rz.h)
+        else:
+            eigs = diagonalize(assemble_weak(beta, rz.l_u, rz.l_d), vectors=False).eigenvalues
         labels = ["steady" if abs(v) < 1e-8 else _EMPTY for v in eigs]
         per_beta[beta] = {
             "rows": _eigen_rows(rz.cfg.seed, beta, eigs, labels, None, None, rz.cfg.sites),
@@ -441,15 +453,17 @@ def cmd_sweep_beta(cfg: ExperimentConfig) -> int:
 
 def _csr_worker(rz: Realization) -> dict:
     cfg = rz.cfg
-    ratios = {}
-    for key in ("unitary",) if cfg.unitary_only else cfg.alphas:
-        eigs = diagonalize(
-            rz.l_u if key == "unitary" else assemble(key, rz.l_u, rz.l_d),
-            vectors=False,
-        ).eigenvalues
-        hist = complex_spacing_ratios(eigs, bins=cfg.bins, min_count=cfg.min_ratios)
-        ratios[key] = hist.ratios
-    return ratios
+
+    def ratios(eigs: np.ndarray) -> np.ndarray:
+        return complex_spacing_ratios(eigs, bins=cfg.bins, min_count=cfg.min_ratios).ratios
+
+    if cfg.unitary_only:
+        # distinct levels only: at an odd site count every level is a Kramers pair
+        return {"unitary": ratios(unitary_eigenvalues(rz.h, distinct=True))}
+    return {
+        alpha: ratios(diagonalize(assemble(alpha, rz.l_u, rz.l_d), vectors=False).eigenvalues)
+        for alpha in cfg.alphas
+    }
 
 
 def _hist_rows(hist) -> list[list]:

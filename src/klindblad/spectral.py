@@ -1,7 +1,8 @@
 """Spectral analysis of dense superoperators.
 
 Everything downstream of an eigendecomposition lives here: biorthogonal
-mode pairs, trace-preservation and symmetry sanity reports, cluster
+mode pairs, the closed-form spectrum of the commutator generator L_U from
+the levels of H, trace-preservation and symmetry sanity reports, cluster
 bookkeeping against predicted centers, complex spacing ratios with
 synthetic references, operator-weight profiles of eigenmodes, commutant
 bases, persistence tracking across a coupling sweep, spectral density
@@ -20,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .ensemble import HamiltonianSpec
+from .ensemble import HamiltonianSpec, dense_hamiltonian
 from .errors import EigensolverError, SpectralAnalysisError
 from .liouvillian import Superoperator, unitary_pauli_matrix
 from .pauli import PauliBasis
@@ -28,6 +29,7 @@ from .pauli import PauliBasis
 __all__ = [
     "Spectrum",
     "diagonalize",
+    "unitary_eigenvalues",
     "CptpReport",
     "cptp_checks",
     "conjugation_residual",
@@ -119,6 +121,39 @@ def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
         )
     biorth = float(np.abs(left @ right - np.eye(right.shape[0])).max())
     return Spectrum(s.num_sites, eigs, right, left, diag_residual, biorth, biorth < 1e-6)
+
+
+# Levels of a 2-local H that are Kramers partners at an odd number of sites
+# agree to ~1e-15, while distinct levels lie ~1e-2 apart.
+LEVEL_MERGE_TOL = 1e-9
+
+
+def unitary_eigenvalues(h: HamiltonianSpec, distinct: bool = False) -> np.ndarray:
+    """Spectrum of L_U = -i[H, .] from the 2^l levels E of H.
+
+    The eigenvalues are the 4^l differences i(E_m - E_n), in canonical
+    order, with Re exactly 0 and an exact zero for every m = n; one
+    ``eigvalsh`` of the dense H replaces a dense solve of L_U.  With
+    ``distinct``, levels closer than ``LEVEL_MERGE_TOL`` are merged first,
+    so each pair of distinct levels gives its two differences once.  At an
+    odd number of sites every 2-local H commutes with the antiunitary
+    Theta = prod(sigma^y) K, whose square is -1, so every level is a Kramers
+    pair whose repeated differences would enter spacing ratios as ties
+    decided by rounding.
+    """
+    dense = dense_hamiltonian(h)
+    try:
+        levels = np.linalg.eigvalsh(dense)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigvalsh failed on {_fingerprint(dense)}") from exc
+    if not np.isfinite(levels).all():
+        raise EigensolverError(f"non-finite levels of {_fingerprint(dense)}")
+    if distinct:
+        levels = levels[np.r_[True, np.diff(levels) > LEVEL_MERGE_TOL]]
+    # built from zeros so that Re is +0.0, never the -0.0 of 1j * (negative)
+    eigs = np.zeros(levels.size**2, dtype=complex)
+    eigs.imag = (levels[:, None] - levels[None, :]).ravel()
+    return eigs[_canonical_order(eigs)]
 
 
 def conjugation_residual(eigs: np.ndarray, chunk: int = 512) -> float:

@@ -48,6 +48,7 @@ from klindblad.spectral import (
     diagonalize,
     evolve_expectation,
     spectral_density,
+    unitary_eigenvalues,
 )
 
 nightly = pytest.mark.nightly
@@ -361,9 +362,10 @@ def csr_pools():
         k = sample_kossakowski(num_sites, 2, rng=substream(seed, r, STREAM_KOSSAKOWSKI))
         h = sample_random_hamiltonian(num_sites, rng=substream(seed, r, STREAM_HAMILTONIAN))
         l_u, l_d = build_unitary_part(h, basis), build_dissipator(k, jumps, basis)
-        # the exactly degenerate level differences of L_U sit on the real
-        # axis up to solver noise; the Im > 1e-10 cut drops them
-        pools["unitary"].append(complex_spacing_ratios(np.linalg.eigvals(l_u.matrix)).ratios)
+        # differences of the distinct levels: at 5 sites every level of H
+        # is a Kramers pair
+        eigs = unitary_eigenvalues(h, distinct=True)
+        pools["unitary"].append(complex_spacing_ratios(eigs).ratios)
         for alpha in CSR_ALPHAS:
             eigs = np.linalg.eigvals(assemble(alpha, l_u, l_d).matrix)
             pools[alpha].append(complex_spacing_ratios(eigs).ratios)

@@ -15,7 +15,7 @@ from klindblad.cli import main
 from klindblad.errors import NumericalError
 from klindblad.liouvillian import lambda0
 from klindblad.spectral import commutant_basis
-from klindblad.ensemble import heisenberg_hamiltonian
+from klindblad.ensemble import HamiltonianSpec, heisenberg_hamiltonian
 
 
 def run(*args):
@@ -150,6 +150,34 @@ def test_sweep_beta_trace_identity(tmp_path):
             assert abs(float(mean_re) + beta) < 1e-10 * beta
 
 
+def test_sweep_beta_zero_comes_from_the_levels_of_h(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("beta = 0 built or solved a superoperator")
+
+    for name in ("build_unitary_part", "build_dissipator", "diagonalize"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "run"
+    assert run("sweep-beta", "--sites", 4, "--seed", 3, "--beta", 0, "--exact-h-norm",
+               "--out", out) == 0
+    rows = (out / "eigenvalues_r000_b0.csv").read_text().splitlines()[1:]
+    eigs = np.array([complex(float(r.split(",")[3]), float(r.split(",")[4])) for r in rows])
+    assert eigs.size == 4**4
+    assert np.abs(eigs.real).max() == 0.0
+    assert np.count_nonzero(eigs == 0) >= 2**4
+    # Im variance 2 Tr H^2 / 2^l = 2 for the traceless H with Tr H^2 = 2^l
+    assert abs(eigs.imag.std() - np.sqrt(2.0)) < 1e-12
+
+
+def test_non_finite_hamiltonian_exits_4(tmp_path, monkeypatch):
+    def non_finite(num_sites, rng=None, exact_norm=False):
+        h = heisenberg_hamiltonian(num_sites)
+        return HamiltonianSpec(num_sites, h.kind, {s: np.nan for s in h.coefficients})
+
+    monkeypatch.setattr(cli, "sample_random_hamiltonian", non_finite)
+    assert run("sweep-beta", "--sites", 3, "--seed", 1, "--beta", 0,
+               "--out", tmp_path / "run") == 4
+
+
 # --- csr --------------------------------------------------------------------
 
 
@@ -171,12 +199,12 @@ def test_csr_outputs(tmp_path):
 
 def test_csr_unitary_only_uses_line_reference(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a unitary-only run built the dissipator")
+        raise AssertionError("a unitary-only run built a superoperator")
 
-    monkeypatch.setattr(cli, "jump_operator_set", refuse)
-    monkeypatch.setattr(cli, "build_dissipator", refuse)
+    for name in ("jump_operator_set", "build_dissipator", "build_unitary_part"):
+        monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "run"
-    assert run("csr", "--sites", 3, "--seed", 17, "--unitary-only",
+    assert run("csr", "--sites", 4, "--seed", 17, "--unitary-only",
                "--out", out) == 0
     summary = json.loads((out / "csr_summary.json").read_text())
     assert summary["poisson_geometry"] == "line"
@@ -191,6 +219,18 @@ def test_csr_unitary_only_keeps_only_nonzero_level_differences(tmp_path):
                "--min-ratios", 3, "--out", out) == 0
     summary = json.loads((out / "csr_summary.json").read_text())
     assert summary["data"]["unitary"]["ratio_count"] == 2 * (4**4 - 2**4) // 2
+
+
+def test_csr_unitary_only_uses_distinct_levels_at_odd_sites(tmp_path):
+    # every level of a 2-local H is a Kramers pair at 3 sites: 4 distinct
+    # levels give 4 * 3 / 2 differences with Im > 0 per realization
+    out = tmp_path / "run"
+    assert run("csr", "--sites", 3, "--seed", 1, "--unitary-only", "--realizations", 2,
+               "--min-ratios", 3, "--out", out) == 0
+    summary = json.loads((out / "csr_summary.json").read_text())
+    assert summary["data"]["unitary"]["ratio_count"] == 2 * (4 * 3 // 2)
+    assert run("csr", "--sites", 3, "--seed", 1, "--unitary-only",
+               "--out", tmp_path / "run2") == 2
 
 
 def test_csr_too_few_ratios_is_config_error(tmp_path, capsys):

@@ -10,7 +10,7 @@ from klindblad.ensemble import (
     sample_kossakowski,
     sample_random_hamiltonian,
 )
-from klindblad.errors import SpectralAnalysisError
+from klindblad.errors import EigensolverError, SpectralAnalysisError
 from klindblad.liouvillian import (
     Superoperator,
     assemble,
@@ -21,6 +21,7 @@ from klindblad.liouvillian import (
 )
 from klindblad.pauli import PauliBasis, PauliString, to_dense
 from klindblad.spectral import (
+    LEVEL_MERGE_TOL,
     cluster_by_centers,
     commutant_basis,
     complex_spacing_ratios,
@@ -36,6 +37,7 @@ from klindblad.spectral import (
     persistent_modes,
     random_weight_operator,
     spectral_density,
+    unitary_eigenvalues,
 )
 
 from conftest import pairing_distance
@@ -86,6 +88,55 @@ def test_eigenvalues_only_matches_full_solve():
     a = diagonalize(s, vectors=False).eigenvalues
     b = diagonalize(s).eigenvalues
     assert pairing_distance(a, b) < 1e-10
+
+
+# --- closed-form unitary spectrum -------------------------------------------
+
+
+def unitary_cases():
+    for num_sites in (2, 3, 4, 5):
+        yield sample_random_hamiltonian(num_sites, seed=40 + num_sites)
+        if num_sites >= 3:
+            yield heisenberg_hamiltonian(num_sites)
+
+
+@pytest.mark.parametrize("h", list(unitary_cases()), ids=lambda h: f"{h.kind}{h.num_sites}")
+def test_unitary_eigenvalues_match_dense_oracle(h):
+    eigs = unitary_eigenvalues(h)
+    dense = np.linalg.eigvals(build_unitary_part(h, PauliBasis(h.num_sites)).matrix)
+    assert eigs.size == 4**h.num_sites
+    # both sorted by Im: the closed form has Re = 0, the dense solve ~1e-15
+    assert np.abs(eigs - dense[np.argsort(dense.imag, kind="stable")]).max() <= 1e-13
+    assert np.all(eigs.real == 0.0) and not np.signbit(eigs.real).any()
+    assert np.count_nonzero(eigs == 0) >= 2**h.num_sites
+    assert np.all(np.diff(eigs.imag) >= 0)
+
+
+@pytest.mark.parametrize("num_sites", [3, 4, 5])
+def test_distinct_unitary_eigenvalues_merge_kramers_pairs(num_sites):
+    # the levels pair up to < 1e-12 at odd size and never repeat at even
+    # size (test_weight2_spectra_pair_at_odd_site_count)
+    for seed in (1, 2, 3):
+        h = sample_random_hamiltonian(num_sites, seed=seed)
+        full = unitary_eigenvalues(h)
+        distinct = unitary_eigenvalues(h, distinct=True)
+        if num_sites % 2:
+            assert distinct.size == 4 ** (num_sites - 1)
+            nearest = np.abs(full[:, None] - distinct[None, :]).min(axis=1)
+            assert nearest.max() < 1e-12
+            assert np.diff(np.unique(distinct.imag)).min() > LEVEL_MERGE_TOL
+        else:
+            assert np.array_equal(distinct, full)
+
+
+def test_unitary_eigenvalues_reject_non_finite_levels(monkeypatch):
+    h = sample_random_hamiltonian(3, seed=1)
+    bad = HamiltonianSpec(3, h.kind, {s: np.nan for s in h.coefficients})
+    with pytest.raises(EigensolverError):
+        unitary_eigenvalues(bad)  # LAPACK reports no convergence
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[0], np.inf))
+    with pytest.raises(EigensolverError):
+        unitary_eigenvalues(h)
 
 
 # --- structural spectrum checks ---------------------------------------------
