@@ -41,7 +41,6 @@ from .ensemble import (
     substream,
 )
 from .liouvillian import (
-    JumpOperatorSet,
     Superoperator,
     assemble,
     assemble_weak,

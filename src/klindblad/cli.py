@@ -10,9 +10,10 @@ uses the differences of the distinct levels of H),
 
 Every run requires an explicit master seed and writes CSV/JSON payloads plus
 a manifest with content digests.  Identical config and seed give identical
-payload bytes: floats are printed with 17 significant digits, rows are
-merged in realization order regardless of worker scheduling, and nothing
-timestamped enters the files.
+payload bytes on one BLAS build, CPU kernel and BLAS thread count: floats are
+printed with 17 significant digits, rows are merged in realization order
+regardless of worker scheduling, and nothing timestamped enters the files.
+Across machines only tolerances hold.
 
 Exit codes: 0 success, 2 configuration or analysis-input error, 3 resource
 guardrail, 4 numerical failure.
@@ -43,9 +44,11 @@ from .ensemble import (
     STREAM_KOSSAKOWSKI,
     HamiltonianSpec,
     HEISENBERG_PBC,
+    KossakowskiSample,
     RANDOM_ALL_TO_ALL,
     hamiltonian_to_json_dict,
     heisenberg_hamiltonian,
+    kossakowski_dimension,
     kossakowski_to_json_dict,
     sample_kossakowski,
     sample_random_hamiltonian,
@@ -59,6 +62,7 @@ from .liouvillian import (
     assemble_weak,
     build_dissipator,
     build_unitary_part,
+    check_size,
     jump_operator_set,
     lambda0,
     unitary_pauli_matrix,
@@ -83,6 +87,11 @@ from .spectral import (
 )
 
 MIN_SITES = 2
+
+# Every run samples and digests K, an n x n Haar matrix over the n jump
+# channels, superoperator or not.  Without --allow-large n stays within what
+# the site guardrail admits: 4^6 - 1 = 4095 at 6 sites and k_max = 6, 268 MB.
+MAX_CHANNELS = 4**MAX_SUPEROPERATOR_SITES - 1
 
 
 @dataclass(frozen=True)
@@ -115,13 +124,14 @@ class ExperimentConfig:
             raise ConfigError("a master seed is required; there is no wall-clock default")
         if self.sites < MIN_SITES:
             raise ConfigError(f"need at least {MIN_SITES} sites, got {self.sites}")
-        if self.sites > MAX_SUPEROPERATOR_SITES and not self.allow_large:
-            raise ResourceLimitError(
-                f"{self.sites} sites exceeds the dense-spectrum guardrail "
-                f"({MAX_SUPEROPERATOR_SITES}); pass --allow-large to override"
-            )
         if not 1 <= self.k_max <= self.sites:
             raise ConfigError(f"k_max {self.k_max} out of range for {self.sites} sites")
+        channels = kossakowski_dimension(self.sites, self.k_max)
+        if channels > MAX_CHANNELS and not self.allow_large:
+            raise ResourceLimitError(
+                f"K over {channels} jump channels exceeds the {MAX_CHANNELS}-channel "
+                f"guardrail; lower --kmax or pass --allow-large"
+            )
         if self.hamiltonian not in (RANDOM_ALL_TO_ALL, HEISENBERG_PBC):
             raise ConfigError(f"unknown hamiltonian kind {self.hamiltonian!r}")
         if self.alphas is not None and self.betas is not None:
@@ -193,26 +203,37 @@ class Realization:
     """One realization's seeded model and the generator parts built from it.
 
     K and H come from the realization's own substreams, so they do not
-    depend on the coupling list.  L_U and L_D are real string-basis
-    matrices built once, on first use; each coupling then costs one scaled
-    add.  The spectrum of L_U alone comes from the levels of H, so a
-    unitary-only or beta = 0 run builds neither.
+    depend on the coupling list or on the order they are drawn in.  K, the
+    complete string basis and the real string-basis matrices L_U and L_D
+    are built once, on first use; each coupling then costs one scaled add.
+    The spectrum of L_U alone comes from the levels of H, so a unitary-only
+    or beta = 0 run builds neither the basis nor L_U and L_D.
     """
 
     def __init__(self, cfg: ExperimentConfig, index: int):
         self.cfg = cfg
         self.index = index
-        self.k = sample_kossakowski(cfg.sites, cfg.k_max, rng=self.stream(STREAM_KOSSAKOWSKI))
         if cfg.hamiltonian == HEISENBERG_PBC:
             self.h = heisenberg_hamiltonian(cfg.sites)
         else:
             self.h = sample_random_hamiltonian(
                 cfg.sites, rng=self.stream(STREAM_HAMILTONIAN), exact_norm=cfg.exact_h_norm
             )
-        self.basis = PauliBasis(cfg.sites)
 
     def stream(self, purpose: int) -> np.random.Generator:
         return substream(self.cfg.seed, self.index, purpose)
+
+    @cached_property
+    def k(self) -> KossakowskiSample:
+        return sample_kossakowski(self.cfg.sites, self.cfg.k_max,
+                                  rng=self.stream(STREAM_KOSSAKOWSKI))
+
+    @cached_property
+    def basis(self) -> PauliBasis:
+        # only superoperator runs use the complete basis; refuse them here,
+        # before its 4^l strings are listed
+        check_size(self.cfg.sites, self.cfg.allow_large)
+        return PauliBasis(self.cfg.sites)
 
     @cached_property
     def l_u(self) -> Superoperator:

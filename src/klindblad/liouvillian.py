@@ -7,8 +7,10 @@ basis e_b = S_b / sqrt(2^l) of a complete :class:`PauliBasis`,
 
 which is exactly real for Hermitian jump strings and a Hermitian H.  Both
 parts are scattered straight into that matrix from the symplectic product
-rule of :func:`pauli.multiply`, S_p S_q = i^e(p, q) S_{p xor q}, with no
-Kronecker products.  The generator splits as
+rule S_p S_q = i^e(p, q) S_{p xor q} of :func:`pauli.product_exponent` and
+:func:`pauli.anticommutes`, with no Kronecker products; this module keeps no
+bit formulas of its own.  The jump channels are the weight window
+1 <= weight <= k_max of the string basis.  The generator splits as
 
     L = alpha * L_U + L_D,      L_D = L_D0 + L_D1,
 
@@ -29,19 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from .ensemble import HamiltonianSpec, KossakowskiSample, kossakowski_dimension
 from .errors import NonPositiveKossakowskiError, NumericalError, ResourceLimitError
-from .pauli import PauliBasis, PauliString, enumerate_basis
+from .pauli import PHASES, PauliBasis, anticommutes, basis_state_images, product_exponent
 
 __all__ = [
     "MAX_SUPEROPERATOR_SITES",
-    "JumpOperatorSet",
     "Superoperator",
+    "check_size",
     "jump_operator_set",
     "build_dissipator",
     "build_unitary_part",
@@ -58,45 +60,24 @@ __all__ = [
 MAX_SUPEROPERATOR_SITES = 6
 
 
-def _check_size(num_sites: int, allow_large: bool) -> None:
+def check_size(num_sites: int, allow_large: bool) -> None:
+    """The dense-superoperator guardrail: refuse more than
+    ``MAX_SUPEROPERATOR_SITES`` sites unless ``allow_large``."""
     if num_sites > MAX_SUPEROPERATOR_SITES and not allow_large:
         raise ResourceLimitError(
-            f"dense superoperator at {num_sites} sites needs a "
-            f"{4**num_sites}x{4**num_sites} matrix; pass allow_large=True to force"
+            f"dense superoperator at {num_sites} sites needs a {4**num_sites}x{4**num_sites} "
+            f"matrix; pass allow_large=True (--allow-large) to force"
         )
 
 
-@dataclass(frozen=True)
-class JumpOperatorSet:
-    """Traceless jump operators: Pauli strings scaled by 1/sqrt(2^l).
+def jump_operator_set(num_sites: int, k_max: int = 2) -> PauliBasis:
+    """Standard channel set: the window of strings with 1 <= weight <= k_max.
 
-    The scaling makes the set orthonormal, Tr(L_n^dag L_m) = delta_nm.
+    Channel n is the traceless jump S_n / sqrt(2^l); the scaling makes the set
+    orthonormal, Tr(L_n^dag L_m) = delta_nm.  Like every :class:`PauliBasis`,
+    the window carries an index table of 4^l entries, whatever its size.
     """
-
-    num_sites: int
-    strings: tuple[PauliString, ...]
-
-    def __post_init__(self) -> None:
-        for s in self.strings:
-            if s.weight == 0:
-                raise ValueError("identity is not a valid jump operator (not traceless)")
-
-    def __len__(self) -> int:
-        return len(self.strings)
-
-    @classmethod
-    def from_strings(cls, strings: Sequence[PauliString]) -> "JumpOperatorSet":
-        if not strings:
-            raise ValueError("empty jump operator set")
-        return cls(strings[0].num_sites, tuple(strings))
-
-
-def jump_operator_set(num_sites: int, k_max: int = 2) -> JumpOperatorSet:
-    """Standard channel set: every string with 1 <= weight <= k_max."""
-    strings = enumerate_basis(num_sites, max_weight=k_max, min_weight=1)
-    out = JumpOperatorSet.from_strings(strings)
-    assert len(out) == kossakowski_dimension(num_sites, k_max)
-    return out
+    return PauliBasis(num_sites, max_weight=k_max, min_weight=1)
 
 
 @dataclass
@@ -123,7 +104,7 @@ class Superoperator:
         return float(np.abs(self.matrix[0]).max())
 
 
-def _coupling_matrix(k: Union[KossakowskiSample, np.ndarray], jumps: JumpOperatorSet) -> np.ndarray:
+def _coupling_matrix(k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis) -> np.ndarray:
     if isinstance(k, KossakowskiSample):
         if k.num_sites != jumps.num_sites:
             raise ValueError("coupling sample and jump set disagree on num_sites")
@@ -146,25 +127,9 @@ def _validate_coupling(k_matrix: np.ndarray) -> None:
         )
 
 
-# i**e for the exponents of the product rule
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
 # Columns per block of the dissipator scatter; the per-block temporaries are
 # a few (product strings x block) arrays, a few MB at 6 sites.
 _BLOCK = 256
-
-
-def _anticommutes(x1, z1, x2, z2) -> np.ndarray:
-    """1 where S_1 and S_2 anticommute (odd symplectic form), else 0."""
-    return (np.bitwise_count(x1 & z2) + np.bitwise_count(z1 & x2)) & 1
-
-
-def _exponent(x1, z1, x2, z2) -> np.ndarray:
-    """e with S_1 S_2 = i^e S_{1 xor 2}: the rule of :func:`pauli.multiply`,
-    broadcast over bit arrays (uint8 wraparound is harmless modulo 4)."""
-    count = np.bitwise_count
-    return (count(x1 & z1) + count(x2 & z2) - count((x1 ^ x2) & (z1 ^ z2))
-            + 2 * count(z1 & x2)) % 4
 
 
 def _check_complete(basis: PauliBasis, num_sites: int) -> None:
@@ -176,7 +141,7 @@ def _check_complete(basis: PauliBasis, num_sites: int) -> None:
 
 def build_dissipator(
     k: Union[KossakowskiSample, np.ndarray],
-    jumps: JumpOperatorSet,
+    jumps: PauliBasis,
     basis: PauliBasis,
     *,
     validate: bool = True,
@@ -197,27 +162,25 @@ def build_dissipator(
     raises :class:`NumericalError`.
     """
     num_sites = jumps.num_sites
-    _check_size(num_sites, allow_large)
+    check_size(num_sites, allow_large)
     _check_complete(basis, num_sites)
     k_matrix = _coupling_matrix(k, jumps)
     if validate:
         _validate_coupling(k_matrix)
     k_matrix = k_matrix / 2.0**num_sites  # exact: the 1/2^l of M, applied early
-    jx = np.array([s.x_bits for s in jumps.strings], dtype=np.uint64)
-    jz = np.array([s.z_bits for s in jumps.strings], dtype=np.uint64)
+    jx, jz = jumps.x_array, jumps.z_array
     n_jump = len(jumps)
     # products S_n S_m, indexed [n, m], grouped by the string c = n xor m
-    keys = ((jx[:, None] ^ jx) << np.uint64(num_sites)) | (jz[:, None] ^ jz)
-    products, c_of = np.unique(keys, return_inverse=True)
+    products, c_of = np.unique(basis.lookup(jx[:, None] ^ jx, jz[:, None] ^ jz),
+                               return_inverse=True)
     c_of = c_of.reshape(n_jump, n_jump)
-    exponent = _exponent(jx[:, None], jz[:, None], jx, jz)
+    exponent = product_exponent(jx[:, None], jz[:, None], jx, jz)
     w = np.zeros((products.size, n_jump), dtype=complex)
-    w[c_of, np.arange(n_jump)] = k_matrix * _I_POWERS[exponent]
+    w[c_of, np.arange(n_jump)] = k_matrix * PHASES[exponent]
     b_sum = np.zeros(products.size, dtype=complex)
-    np.add.at(b_sum, c_of, k_matrix * _I_POWERS[exponent.T])
+    np.add.at(b_sum, c_of, k_matrix * PHASES[exponent.T])
     w_stacked = np.concatenate([w.real, w.imag])
-    cx = (products >> np.uint64(num_sites))[:, None]
-    cz = (products & np.uint64((1 << num_sites) - 1))[:, None]
+    cx, cz = basis.x_array[products, None], basis.z_array[products, None]
 
     n = len(basis)
     out = np.zeros((n, n))
@@ -225,12 +188,12 @@ def build_dissipator(
     for lo in range(0, n, _BLOCK):
         cols = np.arange(lo, min(lo + _BLOCK, n))
         bx, bz = basis.x_array[cols], basis.z_array[cols]
-        signs = 1.0 - 2.0 * _anticommutes(jx[:, None], jz[:, None], bx, bz)
+        signs = 1.0 - 2.0 * anticommutes(jx[:, None], jz[:, None], bx, bz)
         a = w_stacked @ signs
         a = a[: products.size] + 1j * a[products.size :]
-        commuting = _anticommutes(cx, cz, bx, bz) == 0
+        commuting = anticommutes(cx, cz, bx, bz) == 0
         a -= np.where(commuting, b_sum[:, None], 0.0)
-        a *= _I_POWERS[_exponent(cx, cz, bx, bz)]
+        a *= PHASES[product_exponent(cx, cz, bx, bz)]
         residue = max(residue, float(np.abs(a.imag).max()))
         out[basis.lookup(cx ^ bx, cz ^ bz), cols] = a.real
     if residue > 1e-10:
@@ -254,10 +217,10 @@ def _commutator_entries(
     rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for s_w, coupling in h.coefficients.items():
         wx, wz = np.uint64(s_w.x_bits), np.uint64(s_w.z_bits)
-        b = np.flatnonzero(_anticommutes(wx, wz, x, z))
+        b = np.flatnonzero(anticommutes(wx, wz, x, z))
         row = basis.lookup(wx ^ x[b], wz ^ z[b])
         b, row = b[row >= 0], row[row >= 0]
-        plus = _exponent(wx, wz, x[b], z[b]) == 1
+        plus = product_exponent(wx, wz, x[b], z[b]) == 1
         rows.append(row)
         cols.append(b)
         vals.append(np.where(plus, 2.0 * coupling, -2.0 * coupling))
@@ -272,7 +235,7 @@ def build_unitary_part(
 ) -> Superoperator:
     """Commutator generator -i[H, .] as a dense matrix; see
     :func:`unitary_pauli_matrix` for its sparse form."""
-    _check_size(h.num_sites, allow_large)
+    check_size(h.num_sites, allow_large)
     _check_complete(basis, h.num_sites)
     rows, cols, vals = _commutator_entries(h, basis)
     out = np.zeros((len(basis), len(basis)))
@@ -335,16 +298,11 @@ def string_basis_matrix(basis: PauliBasis) -> sp.csc_matrix:
     Each string has exactly one nonzero per matrix column, so column j holds
     2^l entries at vec positions b * 2^l + (b xor x_j).
     """
-    num_sites = basis.num_sites
-    dim = 1 << num_sites
+    dim = 1 << basis.num_sites
     n = len(basis)
-    x = basis.x_array[:, None]
-    z = basis.z_array[:, None]
-    b = np.arange(dim, dtype=np.uint64)[None, :]
-    rows = (b.astype(np.int64) * dim + (b ^ x).astype(np.int64)).ravel()
-    phases = np.array([1, 1j, -1, -1j])[np.bitwise_count(basis.x_array & basis.z_array) % 4]
-    signs = 1.0 - 2.0 * (np.bitwise_count(b & z) % 2)
-    data = (phases[:, None] * signs).ravel() / sqrt(dim)
+    images, values = basis_state_images(basis.x_array, basis.z_array, basis.num_sites)
+    rows = (np.arange(dim) * dim + images.astype(np.int64)).ravel()
+    data = values.ravel() / sqrt(dim)
     indptr = np.arange(0, n * dim + 1, dim)
     return sp.csc_matrix((data, rows, indptr), shape=(dim * dim, n))
 
@@ -356,10 +314,7 @@ def pauli_basis_form(s: Superoperator, basis: PauliBasis) -> Superoperator:
     The basis must be complete (all 4^l strings) so the spectrum is
     preserved; the transform is a unitary change of basis.
     """
-    if basis.num_sites != s.num_sites:
-        raise ValueError("basis and superoperator disagree on num_sites")
-    if len(basis) != 4**s.num_sites:
-        raise ValueError(f"need the complete string basis, got {len(basis)} of {4**s.num_sites}")
+    _check_complete(basis, s.num_sites)
     b = string_basis_matrix(basis)
     m = (b.conj().T @ s.matrix) @ b
     return Superoperator(s.num_sites, np.asarray(m))

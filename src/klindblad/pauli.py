@@ -7,9 +7,12 @@ of the tensor product), and the per-site letter is encoded as
 
     I = (x=0, z=0)    X = (1, 0)    Z = (0, 1)    Y = (1, 1)
 
-with the sign convention Y = i·X·Z.  Products and commutators are computed
-purely with bit arithmetic; the accumulated scalar is always a fourth root of
-unity and is tracked exactly.
+with the sign convention Y = i·X·Z.  This is the one module that knows the
+encoding: the product rule S_p S_q = i^e S_{p xor q} (:func:`product_exponent`),
+the commutation test (:func:`anticommutes`), the i^k table (``PHASES``) and
+the action P|b> on computational states (:func:`basis_state_images`) all live
+here, broadcast over bit arrays.  The superoperator builders and the scalar
+:func:`multiply`, :func:`commutes` and :func:`commutator` all call them.
 
 Labels read site 0 leftmost: ``PauliString.from_label("XIZ")`` is X on site 0,
 Z on site 2.
@@ -30,6 +33,10 @@ __all__ = [
     "PauliString",
     "PhasedPauli",
     "PauliBasis",
+    "PHASES",
+    "product_exponent",
+    "anticommutes",
+    "basis_state_images",
     "multiply",
     "commutes",
     "commutator",
@@ -42,11 +49,11 @@ _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {bits: letter for letter, bits in _LETTER_TO_BITS.items()}
 
 # i**k for k = 0..3; all phases produced by the algebra live in this set.
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+PHASES = np.array([1, 1j, -1, -1j])
 
-# to_dense materializes a 2^n x 2^n complex matrix; 10 sites is 16 MiB, the
-# next power of four would start to crowd small machines for no test-relevant
-# gain.
+# to_dense materializes a 2^n x 2^n complex matrix and PauliBasis a 4^n int64
+# index table; at 10 sites these are 16 and 8 MiB, the next power of four
+# would start to crowd small machines for no test-relevant gain.
 MAX_DENSE_SITES = 10
 
 
@@ -117,10 +124,6 @@ class PauliString:
             letters.append(_BITS_TO_LETTER[(int(bool(self.x_bits & bit)), int(bool(self.z_bits & bit)))])
         return "".join(letters)
 
-    def letter(self, site: int) -> str:
-        bit = self.site_bit(self.num_sites, site)
-        return _BITS_TO_LETTER[(int(bool(self.x_bits & bit)), int(bool(self.z_bits & bit)))]
-
     @property
     def weight(self) -> int:
         """Number of non-identity sites."""
@@ -138,42 +141,60 @@ class PhasedPauli:
     phase: complex
 
     def __post_init__(self) -> None:
-        if self.phase not in _PHASES:
+        if self.phase not in PHASES:
             raise ValueError(f"phase must be a fourth root of unity, got {self.phase!r}")
 
     def dense(self) -> np.ndarray:
         return self.phase * to_dense(self.string)
 
 
-def _check_same_register(p: PauliString, q: PauliString) -> None:
+def product_exponent(x1, z1, x2, z2) -> np.ndarray:
+    """e with S_1 S_2 = i^e S_{1 xor 2}, broadcast over uint64 bit arrays.
+
+    Writing each string as i^{|x.z|} X^x Z^z and commuting the Z factors of
+    S_1 past the X factors of S_2 costs (-1)^{|z_1 . x_2|}.  The bit counts
+    are uint8, and their wraparound below zero is harmless modulo 4.
+    """
+    count = np.bitwise_count
+    return (count(x1 & z1) + count(x2 & z2) - count((x1 ^ x2) & (z1 ^ z2))
+            + 2 * count(z1 & x2)) % 4
+
+
+def anticommutes(x1, z1, x2, z2) -> np.ndarray:
+    """1 where S_1 and S_2 anticommute (odd symplectic form), else 0."""
+    return (np.bitwise_count(x1 & z2) + np.bitwise_count(z1 & x2)) & 1
+
+
+def basis_state_images(x, z, num_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """P|b> = i^{|x.z|} (-1)^{|b.z|} |b xor x> for every state b.
+
+    Returns the image states b xor x and the values, with b along a new
+    last axis after the broadcast shape of the bit arrays ``x`` and ``z``.
+    """
+    x = np.asarray(x, dtype=np.uint64)[..., None]
+    z = np.asarray(z, dtype=np.uint64)[..., None]
+    b = np.arange(1 << num_sites, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(b & z) % 2)
+    return b ^ x, PHASES[np.bitwise_count(x & z) % 4] * signs
+
+
+def _bit_arrays(p: PauliString, q: PauliString) -> list[np.ndarray]:
+    """(x_p, z_p, x_q, z_q) as one-element arrays, so that the scalar forms
+    run the broadcast rule on its array path, where wraparound is silent."""
     if p.num_sites != q.num_sites:
         raise ValueError(f"site-count mismatch: {p.num_sites} vs {q.num_sites}")
+    return [np.array([v], dtype=np.uint64) for v in (p.x_bits, p.z_bits, q.x_bits, q.z_bits)]
 
 
 def multiply(p: PauliString, q: PauliString) -> PhasedPauli:
-    """Exact product: dense(p) @ dense(q) == phase * dense(result).
-
-    The phase exponent follows from writing each string as
-    i^{|x.z|} X^x Z^z and commuting the Z factors of p past the X factors
-    of q, which costs (-1)^{|z_p . x_q|}.
-    """
-    _check_same_register(p, q)
-    x3 = p.x_bits ^ q.x_bits
-    z3 = p.z_bits ^ q.z_bits
-    exponent = (
-        (p.x_bits & p.z_bits).bit_count()
-        + (q.x_bits & q.z_bits).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (p.z_bits & q.x_bits).bit_count()
-    ) % 4
-    return PhasedPauli(PauliString(p.num_sites, x3, z3), _PHASES[exponent])
+    """Exact product: dense(p) @ dense(q) == phase * dense(result)."""
+    phase = complex(PHASES[product_exponent(*_bit_arrays(p, q))[0]])
+    return PhasedPauli(PauliString(p.num_sites, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits), phase)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff dense(p) and dense(q) commute (symplectic form even)."""
-    _check_same_register(p, q)
-    anti = (p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()
-    return anti % 2 == 0
+    return not anticommutes(*_bit_arrays(p, q))[0]
 
 
 def commutator(p: PauliString, q: PauliString) -> Optional[PhasedPauli]:
@@ -182,32 +203,21 @@ def commutator(p: PauliString, q: PauliString) -> Optional[PhasedPauli]:
     The scalar 2 is left to the caller: the returned PhasedPauli satisfies
     dense(p) @ dense(q) - dense(q) @ dense(p) == 2 * phase * dense(string).
     """
-    if commutes(p, q):
-        return None
-    return multiply(p, q)
+    return None if commutes(p, q) else multiply(p, q)
 
 
 def to_dense(p: PauliString) -> np.ndarray:
-    """Dense complex matrix of the string, site 0 as the leftmost kron factor.
-
-    Uses the permutation structure P|b> = i^{|x.z|} (-1)^{|b.z|} |b xor x>
-    instead of repeated Kronecker products.
-    """
+    """Dense complex matrix of the string, site 0 as the leftmost kron factor,
+    scattered from :func:`basis_state_images` instead of Kronecker products."""
     if p.num_sites > MAX_DENSE_SITES:
         raise ResourceLimitError(
             f"dense form of a {p.num_sites}-site string exceeds the "
             f"{MAX_DENSE_SITES}-site guardrail"
         )
     dim = 1 << p.num_sites
-    cols = np.arange(dim, dtype=np.uint64)
-    rows = cols ^ np.uint64(p.x_bits)
-    signs = 1.0 - 2.0 * (
-        np.bitwise_count(cols & np.uint64(p.z_bits)).astype(np.int64) % 2
-    )
+    rows, values = basis_state_images(p.x_bits, p.z_bits, p.num_sites)
     out = np.zeros((dim, dim), dtype=complex)
-    out[rows.astype(np.intp), cols.astype(np.intp)] = _PHASES[
-        (p.x_bits & p.z_bits).bit_count() % 4
-    ] * signs
+    out[rows, np.arange(dim)] = values
     return out
 
 
@@ -247,18 +257,24 @@ def enumerate_basis(
 
 
 class PauliBasis:
-    """Ordered string collection with index maps and per-weight sectors.
+    """Ordered string collection with an index table and per-weight sectors.
 
-    Wraps :func:`enumerate_basis` and adds O(1) index lookup, contiguous
-    sector slices, and uint64 bit arrays for vectorized symplectic work.
+    Wraps :func:`enumerate_basis` and adds one dense table from the key
+    (x << l) | z of every string on l sites to its index, -1 outside the
+    weight window, contiguous sector slices, and uint64 bit arrays for
+    vectorized symplectic work.  The table costs O(4^l) whatever the window.
     """
 
     def __init__(self, num_sites: int, max_weight: Optional[int] = None, min_weight: int = 0):
+        if num_sites > MAX_DENSE_SITES:
+            raise ResourceLimitError(
+                f"index table of a {num_sites}-site basis has 4^{num_sites} entries, "
+                f"beyond the {MAX_DENSE_SITES}-site guardrail"
+            )
         self._strings = enumerate_basis(num_sites, max_weight, min_weight)
         self.num_sites = num_sites
         self.max_weight = num_sites if max_weight is None else max_weight
         self.min_weight = min_weight
-        self._index = {(s.x_bits, s.z_bits): i for i, s in enumerate(self._strings)}
 
         offsets = {}
         pos = 0
@@ -274,10 +290,8 @@ class PauliBasis:
         for arr in (self.x_array, self.z_array, self.weight_array):
             arr.setflags(write=False)
 
-        # sorted composite keys for vectorized lookup
-        self._keys = (self.x_array.astype(np.uint64) << np.uint64(num_sites)) | self.z_array
-        self._key_order = np.argsort(self._keys, kind="stable")
-        self._sorted_keys = self._keys[self._key_order]
+        self._table = np.full(4**num_sites, -1, dtype=np.int64)
+        self._table[(self.x_array << np.uint64(num_sites)) | self.z_array] = np.arange(len(self))
 
     def __len__(self) -> int:
         return len(self._strings)
@@ -292,14 +306,19 @@ class PauliBasis:
     def strings(self) -> tuple[PauliString, ...]:
         return tuple(self._strings)
 
+    def _position(self, string: PauliString) -> int:
+        if string.num_sites != self.num_sites:
+            return -1
+        return int(self._table[(string.x_bits << self.num_sites) | string.z_bits])
+
     def index_of(self, string: PauliString) -> int:
-        try:
-            return self._index[(string.x_bits, string.z_bits)]
-        except KeyError:
-            raise KeyError(f"{string} not in basis (weights {self.min_weight}..{self.max_weight})") from None
+        i = self._position(string)
+        if i < 0:
+            raise KeyError(f"{string} not in basis (weights {self.min_weight}..{self.max_weight})")
+        return i
 
     def __contains__(self, string: PauliString) -> bool:
-        return (string.x_bits, string.z_bits) in self._index
+        return self._position(string) >= 0
 
     def sector(self, weight: int) -> slice:
         """Contiguous index range of the exact-weight sector."""
@@ -311,21 +330,10 @@ class PauliBasis:
             ) from None
         return slice(lo, hi)
 
-    def sector_size(self, weight: int) -> int:
-        s = self.sector(weight)
-        return s.stop - s.start
-
     def weights(self) -> range:
         return range(self.min_weight, self.max_weight + 1)
 
     def lookup(self, x_arr: np.ndarray, z_arr: np.ndarray) -> np.ndarray:
         """Vectorized index lookup; -1 marks strings not in the basis."""
-        keys = (x_arr.astype(np.uint64) << np.uint64(self.num_sites)) | z_arr.astype(np.uint64)
-        if len(self) == 4**self.num_sites:
-            # complete basis: the sorted keys are 0 .. 4^l - 1
-            return self._key_order[keys].astype(np.int64)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.minimum(pos, len(self._sorted_keys) - 1)
-        found = self._sorted_keys[pos] == keys
-        out = np.where(found, self._key_order[pos], -1)
-        return out.astype(np.int64)
+        x_arr, z_arr = np.asarray(x_arr, np.uint64), np.asarray(z_arr, np.uint64)
+        return self._table[(x_arr << np.uint64(self.num_sites)) | z_arr]

@@ -15,12 +15,7 @@ from typing import Union
 import numpy as np
 
 from klindblad.ensemble import HamiltonianSpec, KossakowskiSample, dense_hamiltonian
-from klindblad.liouvillian import (
-    JumpOperatorSet,
-    Superoperator,
-    pauli_basis_form,
-    real_pauli_form,
-)
+from klindblad.liouvillian import Superoperator, pauli_basis_form, real_pauli_form
 from klindblad.pauli import PauliBasis, to_dense
 
 
@@ -30,14 +25,14 @@ def vec_identity(num_sites: int) -> np.ndarray:
     return np.eye(dim, dtype=complex).reshape(-1, order="F")
 
 
-def jump_stack(jumps: JumpOperatorSet) -> np.ndarray:
+def jump_stack(jumps: PauliBasis) -> np.ndarray:
     """Dense jump operators, ``stack[n]`` = strings[n] / sqrt(2^l)."""
     norm = sqrt(2.0**jumps.num_sites)
     return np.array([to_dense(s) / norm for s in jumps.strings])
 
 
 def build_dissipator(
-    k: Union[KossakowskiSample, np.ndarray], jumps: JumpOperatorSet
+    k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis
 ) -> Superoperator:
     """sum_nm K_nm (L_n . L_m^dag - 1/2 {L_m^dag L_n, .}) in the
     computational basis, contracted over channels in one pass; the

@@ -352,6 +352,36 @@ def test_site_guardrail_exit_code(tmp_path, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_runs_without_a_superoperator_need_no_large_flag(tmp_path, monkeypatch):
+    # beta = 0 and unitary-only build neither a superoperator nor the
+    # complete basis, so 7 sites run without --allow-large
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the complete string basis")
+
+    monkeypatch.setattr(cli, "PauliBasis", refuse)
+    assert run("sweep-beta", "--sites", 7, "--beta", 0, "--seed", 1,
+               "--out", tmp_path / "sweep") == 0
+    assert run("csr", "--sites", 7, "--unitary-only", "--seed", 1,
+               "--out", tmp_path / "csr") == 0
+
+
+def test_guardrails_refuse_before_sampling_k(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled K")
+
+    monkeypatch.setattr(cli, "sample_kossakowski", refuse)
+    # a superoperator run is refused before its K (1128 channels) is drawn
+    assert run("spectrum", "--sites", 16, "--alpha", "0.1", "--seed", 1,
+               "--out", tmp_path / "sites") == 3
+    # every run digests K, so its channel count is capped up front: 16383 at
+    # 7 sites and k_max 7, even where no superoperator is built
+    assert run("spectrum", "--sites", 7, "--kmax", 7, "--alpha", "0.1", "--seed", 1,
+               "--out", tmp_path / "spectrum") == 3
+    assert run("sweep-beta", "--sites", 8, "--kmax", 8, "--beta", 0, "--seed", 1,
+               "--out", tmp_path / "sweep") == 3
+    assert "16383 jump channels" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise NumericalError("eigensolver did not converge")

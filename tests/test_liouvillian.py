@@ -24,7 +24,6 @@ from klindblad.ensemble import (
 )
 from klindblad.errors import NonPositiveKossakowskiError, NumericalError, ResourceLimitError
 from klindblad.liouvillian import (
-    JumpOperatorSet,
     Superoperator,
     assemble,
     assemble_weak,
@@ -56,17 +55,24 @@ def test_jump_set_counts_and_orthonormality():
 
 
 def test_jump_set_rejects_identity():
+    # the channels are the weight window starting at 1: never the identity,
+    # and an empty window is refused
+    jumps = jump_operator_set(2, 2)
+    assert PauliString.identity(2) not in jumps
+    assert (jumps.weight_array >= 1).all()
     with pytest.raises(ValueError):
-        JumpOperatorSet.from_strings([PauliString.identity(2)])
+        jump_operator_set(2, 0)
 
 
 # ---------------------------------------------------------------- dissipator
 
 
 def test_dephasing_channel_spectrum():
-    # single Z channel on one qubit with coupling 2: rates {0, 0, -2, -2}
-    jumps = JumpOperatorSet.from_strings([PauliString.from_label("Z")])
-    ld = build_dissipator(np.array([[2.0]]), jumps, PauliBasis(1))
+    # single Z channel on one qubit with coupling 2: rates {0, 0, -2, -2};
+    # the channels are X, Y, Z, so only the last is coupled
+    jumps = jump_operator_set(1, 1)
+    assert [s.to_label() for s in jumps] == ["X", "Y", "Z"]
+    ld = build_dissipator(np.diag([0.0, 0.0, 2.0]), jumps, PauliBasis(1))
     eigs = np.linalg.eigvals(ld.matrix)
     assert pairing_distance(eigs, np.array([0, 0, -2, -2], dtype=complex)) < 1e-12
 

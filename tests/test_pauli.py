@@ -56,7 +56,7 @@ def test_site_zero_is_most_significant_bit():
     assert (p.x_bits, p.z_bits) == (2, 0)
     q = PauliString.from_label("IZ")
     assert (q.x_bits, q.z_bits) == (0, 1)
-    assert PauliString.from_label("YI").letter(0) == "Y"
+    assert PauliString.from_label("YI").to_label()[0] == "Y"
 
 
 def test_from_site_letters_matches_label():
@@ -94,6 +94,13 @@ def test_dense_guardrail():
     big = PauliString(11, 1, 0)
     with pytest.raises(ResourceLimitError):
         to_dense(big)
+
+
+def test_index_table_guardrail():
+    # the table has 4^l entries for any window: 8 MiB at 10 sites
+    assert len(PauliBasis(10, max_weight=1)) == 31
+    with pytest.raises(ResourceLimitError):
+        PauliBasis(11, max_weight=1, min_weight=1)
 
 
 # ---------------------------------------------------------------- products
@@ -263,7 +270,7 @@ def test_vectorized_lookup_agrees_with_index_of():
     strings = [random_string(rng, 5) for _ in range(300)]
     xs = np.array([s.x_bits for s in strings], dtype=np.uint64)
     zs = np.array([s.z_bits for s in strings], dtype=np.uint64)
-    # a weight window, and the complete basis with its direct key path
+    # a weight window and the complete basis read the same table
     for basis in (PauliBasis(5, max_weight=2), PauliBasis(5)):
         got = basis.lookup(xs, zs)
         assert got.dtype == np.int64
