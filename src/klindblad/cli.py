@@ -10,10 +10,16 @@ uses the differences of the distinct levels of H),
 
 Every run requires an explicit master seed and writes CSV/JSON payloads plus
 a manifest with content digests.  Identical config and seed give identical
-payload bytes on one BLAS build, CPU kernel and BLAS thread count: floats are
-printed with 17 significant digits, rows are merged in realization order
+payload bytes on one BLAS build and CPU kernel: floats are printed with 17
+significant digits, rows are merged in realization and coupling order
 regardless of worker scheduling, and nothing timestamped enters the files.
+The run pins numpy's OpenBLAS to one thread while it computes, so the BLAS
+thread count of the environment does not enter the bytes; where that
+library is not found, it does, and the manifest records no pinned count.
 Across machines only tolerances hold.
+
+Workers are threads of one process; the dense eigensolves release the
+interpreter lock.
 
 Exit codes: 0 success, 2 configuration or analysis-input error, 3 resource
 guardrail, 4 numerical failure.
@@ -28,11 +34,12 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -203,11 +210,13 @@ class Realization:
     """One realization's seeded model and the generator parts built from it.
 
     K and H come from the realization's own substreams, so they do not
-    depend on the coupling list or on the order they are drawn in.  K, the
-    complete string basis and the real string-basis matrices L_U and L_D
-    are built once, on first use; each coupling then costs one scaled add.
-    The spectrum of L_U alone comes from the levels of H, so a unitary-only
-    or beta = 0 run builds neither the basis nor L_U and L_D.
+    depend on the coupling list or on the order they are drawn in.  K and
+    the complete string basis are built once, on first use.  An analyzer
+    calls ``generators`` once, before it spreads its couplings over threads,
+    and each coupling then costs one scaled add of the real string-basis
+    matrices L_U and L_D.  The spectrum of L_U alone comes from the levels
+    of H, so a unitary-only or beta = 0 run builds neither the basis nor
+    L_U and L_D.
     """
 
     def __init__(self, cfg: ExperimentConfig, index: int):
@@ -235,14 +244,15 @@ class Realization:
         check_size(self.cfg.sites, self.cfg.allow_large)
         return PauliBasis(self.cfg.sites)
 
-    @cached_property
-    def l_u(self) -> Superoperator:
-        return build_unitary_part(self.h, self.basis, allow_large=self.cfg.allow_large)
-
-    @cached_property
-    def l_d(self) -> Superoperator:
+    def generators(self) -> tuple[Superoperator, Superoperator]:
+        """(L_U, L_D), built anew on each call.  Analyzers call it once,
+        before they spread the couplings over threads, so that K and the
+        basis are cached by then: ``cached_property`` holds no lock from
+        Python 3.12 on."""
+        allow_large = self.cfg.allow_large
+        l_u = build_unitary_part(self.h, self.basis, allow_large=allow_large)
         jumps = jump_operator_set(self.cfg.sites, self.cfg.k_max)
-        return build_dissipator(self.k, jumps, self.basis, allow_large=self.cfg.allow_large)
+        return l_u, build_dissipator(self.k, jumps, self.basis, allow_large=allow_large)
 
     def digests(self) -> dict:
         return {
@@ -359,27 +369,36 @@ def _prediction_rows(
     return header, rows
 
 
-def _realize(analyze: Callable, cfg: ExperimentConfig, index: int) -> tuple[dict, object]:
+def _realize(analyze: Callable, cfg: ExperimentConfig, index: int,
+             map_couplings: Callable = map) -> tuple[dict, object]:
     realization = Realization(cfg, index)
-    result = analyze(realization)
+    result = analyze(realization, map_couplings)
     # digested after the solves: the freed JSON records would otherwise
-    # stay in the small-object heap and raise the worker's peak memory
+    # stay in the small-object heap and raise the peak memory
     return realization.digests(), result
 
 
 def _run_pool(analyze: Callable, cfg: ExperimentConfig) -> tuple[list[dict], list]:
-    """Run ``analyze`` on every realization; returns the model digests and
-    the results, merged in realization order regardless of worker
-    completion order."""
+    """Run ``analyze(realization, map_couplings)`` on every realization on
+    ``cfg.workers`` threads; returns the model digests and the results,
+    merged in realization order regardless of completion order.
+
+    With at least as many realizations as workers, each thread takes whole
+    realizations, so at most ``workers`` copies of L_U and L_D are alive,
+    and ``map_couplings`` is the builtin ``map``.  With fewer, the
+    realizations run in turn and each one's couplings go to the pool
+    through its ``map``; nothing is submitted from inside the pool.  One
+    worker runs inline, where a tracer's span stack can follow the calls.
+    """
     indices = range(cfg.realizations)
-    # a worker beyond the realization count would never get a task
-    workers = min(cfg.workers, cfg.realizations)
-    if workers <= 1:
+    if cfg.workers == 1:
         pairs = [_realize(analyze, cfg, r) for r in indices]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_realize, analyze, cfg, r) for r in indices]
-            pairs = [f.result() for f in futures]
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            if cfg.realizations >= cfg.workers:
+                pairs = list(pool.map(partial(_realize, analyze, cfg), indices))
+            else:
+                pairs = [_realize(analyze, cfg, r, pool.map) for r in indices]
     return [models for models, _ in pairs], [result for _, result in pairs]
 
 
@@ -402,15 +421,17 @@ def _labelled_rows(
     return _eigen_rows(cfg.seed, alpha, eigs, labels, profiles, overlaps, cfg.sites), report
 
 
-def _spectrum_worker(rz: Realization) -> dict:
+def _spectrum_worker(rz: Realization, map_couplings: Callable) -> dict:
     probe = random_weight_operator(rz.basis, 2, rz.stream(STREAM_ANALYSIS))
-    per_alpha = {}
-    for alpha in rz.cfg.alphas:
-        spectrum = diagonalize(assemble(alpha, rz.l_u, rz.l_d))
+    l_u, l_d = rz.generators()
+
+    def solve(alpha: float) -> dict:
+        spectrum = diagonalize(assemble(alpha, l_u, l_d))
         rows, report = _labelled_rows(rz, alpha, spectrum, probe)
         rescale = 1.0 / alpha if alpha > 0 else None
-        per_alpha[alpha] = {"rows": rows, "clusters": _cluster_payload(report, rescale)}
-    return per_alpha
+        return {"rows": rows, "clusters": _cluster_payload(report, rescale)}
+
+    return dict(zip(rz.cfg.alphas, map_couplings(solve, rz.cfg.alphas)))
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
@@ -436,20 +457,23 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 # --- sweep-beta -------------------------------------------------------------
 
 
-def _beta_worker(rz: Realization) -> dict:
-    per_beta = {}
-    for beta in rz.cfg.betas:
+def _beta_worker(rz: Realization, map_couplings: Callable) -> dict:
+    # beta = 0 alone needs neither L_U nor L_D
+    generators = rz.generators() if any(rz.cfg.betas) else None
+
+    def solve(beta: float) -> dict:
         if beta == 0:
             eigs = unitary_eigenvalues(rz.h)
         else:
-            eigs = diagonalize(assemble_weak(beta, rz.l_u, rz.l_d), vectors=False).eigenvalues
+            eigs = diagonalize(assemble_weak(beta, *generators), vectors=False).eigenvalues
         labels = ["steady" if abs(v) < 1e-8 else _EMPTY for v in eigs]
-        per_beta[beta] = {
+        return {
             "rows": _eigen_rows(rz.cfg.seed, beta, eigs, labels, None, None, rz.cfg.sites),
             "mean_re": float(eigs.real.mean()),
             "std_im": float(eigs.imag.std()),
         }
-    return per_beta
+
+    return dict(zip(rz.cfg.betas, map_couplings(solve, rz.cfg.betas)))
 
 
 def cmd_sweep_beta(cfg: ExperimentConfig) -> int:
@@ -472,7 +496,7 @@ def cmd_sweep_beta(cfg: ExperimentConfig) -> int:
 # --- csr --------------------------------------------------------------------
 
 
-def _csr_worker(rz: Realization) -> dict:
+def _csr_worker(rz: Realization, map_couplings: Callable) -> dict:
     cfg = rz.cfg
 
     def ratios(eigs: np.ndarray) -> np.ndarray:
@@ -481,10 +505,12 @@ def _csr_worker(rz: Realization) -> dict:
     if cfg.unitary_only:
         # distinct levels only: at an odd site count every level is a Kramers pair
         return {"unitary": ratios(unitary_eigenvalues(rz.h, distinct=True))}
-    return {
-        alpha: ratios(diagonalize(assemble(alpha, rz.l_u, rz.l_d), vectors=False).eigenvalues)
-        for alpha in cfg.alphas
-    }
+    l_u, l_d = rz.generators()
+
+    def solve(alpha: float) -> np.ndarray:
+        return ratios(diagonalize(assemble(alpha, l_u, l_d), vectors=False).eigenvalues)
+
+    return dict(zip(cfg.alphas, map_couplings(solve, cfg.alphas)))
 
 
 def _hist_rows(hist) -> list[list]:
@@ -548,17 +574,22 @@ def cmd_csr(cfg: ExperimentConfig) -> int:
 # --- heisenberg -------------------------------------------------------------
 
 
-def _heisenberg_worker(rz: Realization) -> dict:
+def _heisenberg_worker(rz: Realization, map_couplings: Callable) -> dict:
     cfg, basis = rz.cfg, rz.basis
     alphas = sorted(cfg.alphas)
     probe = random_weight_operator(basis, 2, rz.stream(STREAM_ANALYSIS))
-    sweep = []
-    rows = {}
-    for alpha in alphas:
+    l_u, l_d = rz.generators()
+
+    def solve(alpha: float) -> tuple[Spectrum, list[list]]:
         # right modes only at the strongest coupling, where persistence is read
-        spectrum = diagonalize(assemble(alpha, rz.l_u, rz.l_d), vectors=alpha == alphas[-1])
-        sweep.append((alpha, spectrum))
-        rows[alpha] = _labelled_rows(rz, alpha, spectrum, probe)[0]
+        spectrum = diagonalize(assemble(alpha, l_u, l_d), vectors=alpha == alphas[-1])
+        return spectrum, _labelled_rows(rz, alpha, spectrum, probe)[0]
+
+    # the eigenvector solve is the longest task, so it starts first
+    order = alphas[-1:] + alphas[:-1]
+    solved = dict(zip(order, map_couplings(solve, order)))
+    sweep = [(alpha, solved[alpha][0]) for alpha in alphas]
+    rows = {alpha: solved[alpha][1] for alpha in alphas}
 
     h_coeffs = np.zeros(len(basis))
     for string, coupling in rz.h.coefficients.items():
@@ -664,11 +695,13 @@ def cmd_heisenberg(cfg: ExperimentConfig) -> int:
 # --- density ----------------------------------------------------------------
 
 
-def _density_worker(rz: Realization) -> dict:
-    return {
-        alpha: diagonalize(assemble(alpha, rz.l_u, rz.l_d), vectors=False).eigenvalues
-        for alpha in rz.cfg.alphas
-    }
+def _density_worker(rz: Realization, map_couplings: Callable) -> dict:
+    l_u, l_d = rz.generators()
+
+    def solve(alpha: float) -> np.ndarray:
+        return diagonalize(assemble(alpha, l_u, l_d), vectors=False).eigenvalues
+
+    return dict(zip(rz.cfg.alphas, map_couplings(solve, rz.cfg.alphas)))
 
 
 def _density_rows(density) -> list[list]:
@@ -751,8 +784,51 @@ def _gnuplot_stub(out: OutputTracker) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The payload bits depend on the BLAS build and its thread count.
+# The payload bits depend on the BLAS build and its thread count; the count
+# these variables set holds only where numpy's OpenBLAS is not found.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _numpy_openblas():
+    """numpy's bundled OpenBLAS through ctypes, or None if it is not found."""
+    import ctypes  # only the thread pin needs it
+
+    numpy_libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(numpy_libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Pin numpy's OpenBLAS to one thread, restoring the old count on exit.
+
+    OpenBLAS splits products and factorizations by thread, which changes
+    their rounding, so the sampled K and the eigenvalues would otherwise
+    change in their last bits with the thread count.  Pool workers are
+    threads of this process, so the pin holds in each of them.  scipy loads
+    a second OpenBLAS, left alone: the package reaches no BLAS through
+    scipy, since ``scipy.sparse`` products and ``ks_2samp`` call none.
+    Without numpy's OpenBLAS this does nothing.
+    """
+    lib = _numpy_openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
 
 
 def _write_manifest(
@@ -763,12 +839,19 @@ def _write_manifest(
     axis_rescale: Optional[dict],
 ) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    openblas = _numpy_openblas()
+    # the count the command ran with: 1 under the pin
+    threads = None if openblas is None else openblas.scipy_openblas_get_num_threads64_()
     manifest = {
         "version": __version__,
         "libraries": {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas": {
+                "name": blas.get("name"),
+                "version": blas.get("version"),
+                "threads": threads,
+            },
         },
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "command": command,
@@ -869,7 +952,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        return _COMMANDS[args.command](cfg)
+        with _one_blas_thread():
+            return _COMMANDS[args.command](cfg)
     except (ConfigError, SpectralAnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ turns the suite red.
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scipy.linalg import expm
 from scipy.stats import ks_2samp, kstest
 
 import oracle
+from klindblad.cli import _one_blas_thread as one_blas_thread
 from klindblad.cli import main as cli_main
 from klindblad.ensemble import (
     STREAM_HAMILTONIAN,
@@ -354,24 +356,29 @@ CSR_ALPHAS = (0.05, 0.15, 0.5, 1.5)
 
 @pytest.fixture(scope="module")
 def csr_pools():
-    """Pooled spacing ratios over 100 realizations at 5 sites."""
+    """Pooled spacing ratios over 100 realizations at 5 sites, solved on two
+    threads with numpy's BLAS pinned to one thread and merged in realization
+    order."""
     num_sites, seed = 5, 77
     basis = PauliBasis(num_sites)
     jumps = jump_operator_set(num_sites, 2)
-    pools = {alpha: [] for alpha in CSR_ALPHAS}
-    pools["unitary"] = []
-    for r in range(100):
+
+    def ratios_of(r):
         k = sample_kossakowski(num_sites, 2, rng=substream(seed, r, STREAM_KOSSAKOWSKI))
         h = sample_random_hamiltonian(num_sites, rng=substream(seed, r, STREAM_HAMILTONIAN))
         l_u, l_d = build_unitary_part(h, basis), build_dissipator(k, jumps, basis)
         # differences of the distinct levels: at 5 sites every level of H
         # is a Kramers pair
-        eigs = unitary_eigenvalues(h, distinct=True)
-        pools["unitary"].append(complex_spacing_ratios(eigs).ratios)
+        ratios = {"unitary": complex_spacing_ratios(unitary_eigenvalues(h, distinct=True)).ratios}
         for alpha in CSR_ALPHAS:
             eigs = np.linalg.eigvals(assemble(alpha, l_u, l_d).matrix)
-            pools[alpha].append(complex_spacing_ratios(eigs).ratios)
-    return {key: np.concatenate(value) for key, value in pools.items()}
+            ratios[alpha] = complex_spacing_ratios(eigs).ratios
+        return ratios
+
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+        per_realization = list(pool.map(ratios_of, range(100)))
+    return {key: np.concatenate([ratios[key] for ratios in per_realization])
+            for key in per_realization[0]}
 
 
 @pytest.fixture(scope="module")
@@ -438,7 +445,7 @@ def heisenberg_run_6(tmp_path_factory):
     out = tmp_path_factory.mktemp("heis6")
     rc = cli_main(
         ["heisenberg", "--sites", "6", "--seed", "21", "--alpha", "16,32",
-         "--out", str(out)]
+         "--workers", "2", "--out", str(out)]
     )
     assert rc == 0
     return json.loads((out / "persistence_r000.json").read_text())

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +56,10 @@ def test_manifest_records_numeric_environment(tmp_path, monkeypatch):
     assert run("spectrum", "--sites", 2, "--seed", 11, "--alpha", "0", "--out", out) == 0
     manifest = manifest_of(out)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert manifest["libraries"]["blas"] == {"name": blas["name"], "version": blas["version"]}
+    # the run pins numpy's OpenBLAS to one thread, where it finds that library
+    pinned = None if cli._numpy_openblas() is None else 1
+    assert manifest["libraries"]["blas"] == {
+        "name": blas["name"], "version": blas["version"], "threads": pinned}
     threads = manifest["blas_threads"]
     assert threads["OMP_NUM_THREADS"] == "3"
     assert threads["MKL_NUM_THREADS"] is None
@@ -80,13 +84,97 @@ def test_model_digests_do_not_depend_on_alpha_list(tmp_path):
     assert manifest_of(tmp_path / "a")["models"] == manifest_of(tmp_path / "b")["models"]
 
 
-def test_worker_count_does_not_change_output_bytes(tmp_path):
-    args = ("spectrum", "--sites", 2, "--seed", 3, "--alpha", "0.2",
-            "--realizations", 3)
-    assert run(*args, "--workers", 1, "--out", tmp_path / "serial") == 0
-    assert run(*args, "--workers", 2, "--out", tmp_path / "pool") == 0
-    assert (manifest_of(tmp_path / "serial")["files"]
-            == manifest_of(tmp_path / "pool")["files"])
+WORKER_CASES = {
+    "spectrum": ("spectrum", "--sites", 4, "--alpha", "0,0.2,1"),
+    "sweep-beta0": ("sweep-beta", "--sites", 4, "--beta", "0"),
+    "sweep-beta": ("sweep-beta", "--sites", 4, "--beta", "0,0.05,0.2"),
+    "csr": ("csr", "--sites", 4, "--alpha", "0.1,0.5"),
+    "heisenberg": ("heisenberg", "--sites", 4, "--alpha", "1,4,16"),
+    "density": ("density", "--sites", 3, "--alpha", "0,0.5"),
+}
+
+
+# One realization spreads its couplings over the pool; three realizations
+# map onto it whole.  density needs at least two realizations.
+@pytest.mark.parametrize(
+    "args, realizations",
+    [
+        pytest.param(args, realizations, id=f"{name}-r{realizations}")
+        for name, args in WORKER_CASES.items()
+        for realizations in (1, 3)
+        if not (name == "density" and realizations == 1)
+    ],
+)
+def test_worker_count_does_not_change_output_bytes(tmp_path, args, realizations):
+    common = (*args, "--seed", 3, "--realizations", realizations)
+    assert run(*common, "--workers", 1, "--out", tmp_path / "serial") == 0
+    assert run(*common, "--workers", 2, "--out", tmp_path / "pool") == 0
+    serial, pool = manifest_of(tmp_path / "serial"), manifest_of(tmp_path / "pool")
+    assert serial["files"] == pool["files"]
+    assert serial["models"] == pool["models"]
+
+
+def test_pool_output_survives_frequent_thread_switches(tmp_path):
+    # four workers, switching threads every microsecond: a race on
+    # a realization's shared state would change the bytes
+    interval = sys.getswitchinterval()
+    outputs = {}
+    try:
+        sys.setswitchinterval(1e-6)
+        for realizations, alphas in ((1, "0,0.1,0.2,0.5,1,2"), (6, "0.1,1")):
+            for workers in (1, 4):
+                out = tmp_path / f"r{realizations}w{workers}"
+                assert run("spectrum", "--sites", 3, "--seed", 9, "--alpha", alphas,
+                           "--realizations", realizations, "--workers", workers,
+                           "--out", out) == 0
+                outputs[realizations, workers] = manifest_of(out)["files"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[1, 1] == outputs[1, 4]
+    assert outputs[6, 1] == outputs[6, 4]
+
+
+def test_pool_workers_are_threads_of_this_process(tmp_path, monkeypatch):
+    import multiprocessing
+    import threading
+
+    seen = []
+    diagonalize = cli.diagonalize
+
+    def recording(*args, **kwargs):
+        seen.append((os.getpid(), threading.get_ident(), multiprocessing.active_children()))
+        return diagonalize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "diagonalize", recording)
+    for realizations in (1, 3):
+        assert run("spectrum", "--sites", 3, "--seed", 1, "--alpha", "0.1,0.2",
+                   "--realizations", realizations, "--workers", 2,
+                   "--out", tmp_path / f"r{realizations}") == 0
+    assert len(seen) == 2 + 6
+    assert {pid for pid, _, _ in seen} == {os.getpid()}
+    assert threading.get_ident() not in {ident for _, ident, _ in seen}
+    assert all(children == [] for _, _, children in seen)
+    source = "".join(p.read_text() for p in Path(cli.__file__).parent.glob("*.py"))
+    assert "ProcessPoolExecutor" not in source
+
+
+def test_blas_thread_count_does_not_change_output_bytes(tmp_path):
+    # 5 sites: smaller matrices stay under OpenBLAS's threading thresholds
+    args = [sys.executable, "-m", "klindblad.cli", "csr", "--sites", "5",
+            "--alpha", "0.05,0.5", "--realizations", "2", "--seed", "77", "--workers", "2"]
+    manifests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([*args, "--out", str(out)], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        manifests.append(manifest_of(out))
+    if manifests[0]["libraries"]["blas"]["threads"] is None:
+        pytest.skip("numpy's OpenBLAS was not found, so nothing pins its threads")
+    assert [m["libraries"]["blas"]["threads"] for m in manifests] == [1, 1]
+    assert manifests[0]["files"] == manifests[1]["files"]
+    assert manifests[0]["models"] == manifests[1]["models"]
 
 
 def test_predictions_file_round_trips_exact_centers(tmp_path):
@@ -389,6 +477,11 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "diagonalize", explode)
     assert run("spectrum", "--sites", 2, "--seed", 1, "--alpha", "0.1",
                "--out", tmp_path / "run") == 4
+    # raised in a pool thread: spreading couplings, then mapping realizations
+    for realizations in (1, 2):
+        assert run("spectrum", "--sites", 2, "--seed", 1, "--alpha", "0.1,0.2",
+                   "--realizations", realizations, "--workers", 2,
+                   "--out", tmp_path / f"pool{realizations}") == 4
 
 
 def test_module_entry_point(tmp_path):

@@ -62,14 +62,36 @@ def full_liouvillian(num_sites, alpha, k_seed=21, h_seed=32, basis_form="pauli")
 def test_diagonalize_invariants():
     s = full_liouvillian(3, 0.5)
     spec = diagonalize(s)
-    assert spec.diagonalizable
     assert spec.dim == 64
     m = s.matrix
     residual = np.abs(m @ spec.right_modes - spec.right_modes * spec.eigenvalues).max()
     assert residual < 1e-8
-    assert np.abs(spec.left_modes @ spec.right_modes - np.eye(64)).max() < 1e-8
+    # the probe residual of one unit vector is bounded by sqrt(n) times the full one
     assert spec.diag_residual < 1e-8
+    assert spec.diag_residual <= residual * np.sqrt(64)
+    # the left system is built on first access
+    assert spec.diagonalizable
+    assert np.abs(spec.left_modes @ spec.right_modes - np.eye(64)).max() < 1e-8
     assert spec.biorth_residual < 1e-8
+
+
+def test_left_modes_are_computed_on_first_access(monkeypatch):
+    inversions = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        inversions.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    spec = diagonalize(full_liouvillian(3, 0.5))
+    assert inversions == []
+    report = cptp_checks(spec)
+    assert report.steady_identity_overlap > 1 - 1e-8
+    assert report.all_ok
+    assert spec.left_modes is spec.left_modes
+    assert spec.diagonalizable
+    assert inversions == [(64, 64)]
 
 
 def test_eigenvalue_ordering_is_canonical():
@@ -539,14 +561,12 @@ def test_evolution_requires_diagonalizable_spectrum():
     from klindblad.spectral import Spectrum
 
     eigs = np.zeros(16, dtype=complex)
-    bad = Spectrum(
-        2,
-        eigs,
-        np.eye(16, dtype=complex),
-        None,
-        0.0,
-        np.inf,
-        diagonalizable=False,
-    )
+    # singular right modes: the lazy inverse fails and leaves no left system
+    bad = Spectrum(2, eigs, np.zeros((16, 16), dtype=complex))
+    assert bad.left_modes is None
+    assert bad.biorth_residual == np.inf
+    assert not bad.diagonalizable
     with pytest.raises(SpectralAnalysisError):
         evolve_expectation(bad, np.zeros(16), np.zeros(16), [1.0])
+    with pytest.raises(SpectralAnalysisError):
+        evolve_expectation(Spectrum(2, eigs), np.zeros(16), np.zeros(16), [1.0])
