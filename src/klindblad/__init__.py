@@ -1,12 +1,12 @@
 """Spectra of Lindblad generators with random k-local Pauli dissipation.
 
-The package builds dense real superoperators in the Pauli string basis for
-generators of the form alpha * L_U + L_D (or L_U + beta * L_D), where L_D
-couples all Pauli strings up to a cutoff weight through a random positive
-coupling matrix, and analyzes the resulting non-Hermitian spectra: cluster
-structure and its perturbative predictions, spacing-ratio statistics,
-eigenmode operator content, commutants, persistence across coupling sweeps,
-and spectral densities.
+The package builds real superoperators in the Pauli string basis, a dense
+L_D and a sparse L_U, for generators of the form alpha * L_U + L_D (or
+L_U + beta * L_D), where L_D couples all Pauli strings up to a cutoff weight
+through a random positive coupling matrix, and analyzes the resulting
+non-Hermitian spectra: cluster structure and its perturbative predictions,
+spacing-ratio statistics, eigenmode operator content, commutants,
+persistence across coupling sweeps, and spectral densities.
 """
 
 from .errors import (
@@ -41,6 +41,7 @@ from .ensemble import (
     substream,
 )
 from .liouvillian import (
+    SparseSuperoperator,
     Superoperator,
     assemble,
     assemble_weak,
@@ -79,6 +80,7 @@ from .spectral import (
     density_total_variation,
     diagonalize,
     evolve_expectation,
+    ks_statistic,
     mode_weight_profile,
     operator_overlap,
     persistent_modes,

@@ -64,6 +64,7 @@ from .ensemble import (
 from .errors import ConfigError, NumericalError, ResourceLimitError, SpectralAnalysisError
 from .liouvillian import (
     MAX_SUPEROPERATOR_SITES,
+    SparseSuperoperator,
     Superoperator,
     assemble,
     assemble_weak,
@@ -87,6 +88,7 @@ from .spectral import (
     commutant_basis,
     density_total_variation,
     diagonalize,
+    ks_statistic,
     persistent_modes,
     random_weight_operator,
     spectral_density,
@@ -212,11 +214,12 @@ class Realization:
     K and H come from the realization's own substreams, so they do not
     depend on the coupling list or on the order they are drawn in.  K and
     the complete string basis are built once, on first use.  An analyzer
-    calls ``generators`` once, before it spreads its couplings over threads,
-    and each coupling then costs one scaled add of the real string-basis
-    matrices L_U and L_D.  The spectrum of L_U alone comes from the levels
-    of H, so a unitary-only or beta = 0 run builds neither the basis nor
-    L_U and L_D.
+    calls ``generators`` once, before it spreads its couplings over threads.
+    L_U is kept sparse and L_D dense, so a realization holds one dense
+    matrix, and each coupling adds L_U into one new copy of L_D, scaled
+    (see ``assemble``).  The spectrum of L_U alone comes from the levels of
+    H, so a unitary-only or beta = 0 run builds neither the basis nor L_U
+    and L_D.
     """
 
     def __init__(self, cfg: ExperimentConfig, index: int):
@@ -244,11 +247,11 @@ class Realization:
         check_size(self.cfg.sites, self.cfg.allow_large)
         return PauliBasis(self.cfg.sites)
 
-    def generators(self) -> tuple[Superoperator, Superoperator]:
-        """(L_U, L_D), built anew on each call.  Analyzers call it once,
-        before they spread the couplings over threads, so that K and the
-        basis are cached by then: ``cached_property`` holds no lock from
-        Python 3.12 on."""
+    def generators(self) -> tuple[SparseSuperoperator, Superoperator]:
+        """(sparse L_U, dense L_D), built anew on each call.  Analyzers
+        call it once, before they spread the couplings over threads, so that
+        K and the basis are cached by then: ``cached_property`` holds no
+        lock from Python 3.12 on."""
         allow_large = self.cfg.allow_large
         l_u = build_unitary_part(self.h, self.basis, allow_large=allow_large)
         jumps = jump_operator_set(self.cfg.sites, self.cfg.k_max)
@@ -532,8 +535,6 @@ _HIST_HEADER = ["bin_lo", "bin_hi", "count", "density"]
 
 
 def cmd_csr(cfg: ExperimentConfig) -> int:
-    from scipy.stats import ks_2samp  # only csr needs it, and it is slow to import
-
     if not cfg.unitary_only:
         cfg.require_alphas()
     out = OutputTracker(cfg.out)
@@ -563,8 +564,8 @@ def cmd_csr(cfg: ExperimentConfig) -> int:
         summary["data"][name] = {
             "mean_ratio": hist.mean_ratio,
             "ratio_count": int(pooled.size),
-            "ks_vs_ginibre": float(ks_2samp(pooled, ginibre.ratios).statistic),
-            "ks_vs_poisson": float(ks_2samp(pooled, poisson.ratios).statistic),
+            "ks_vs_ginibre": ks_statistic(pooled, ginibre.ratios),
+            "ks_vs_poisson": ks_statistic(pooled, poisson.ratios),
         }
     out.write_json("csr_summary.json", summary)
     _write_manifest(out, cfg, "csr", models, None)
@@ -652,14 +653,15 @@ def _persistence_payload(report) -> dict:
 
 def _structure_payload(h: HamiltonianSpec, basis: PauliBasis) -> dict:
     """Per-sector-pair census of the analytic commutator matrix."""
-    l_u = unitary_pauli_matrix(h, basis).tocsc()
+    l_u = unitary_pauli_matrix(h, basis)
+    row_weight, col_weight = basis.weight_array[l_u.rows], basis.weight_array[l_u.cols]
     blocks = {}
     for k_row in basis.weights():
         for k_col in basis.weights():
-            block = l_u[basis.sector(k_row), basis.sector(k_col)]
+            values = l_u.values[(row_weight == k_row) & (col_weight == k_col)]
             blocks[f"{k_row},{k_col}"] = {
-                "nonzeros": int(block.nnz),
-                "max_abs": float(np.abs(block.data).max()) if block.nnz else 0.0,
+                "nonzeros": int(values.size),
+                "max_abs": float(np.abs(values).max()) if values.size else 0.0,
             }
     return blocks
 
@@ -814,10 +816,10 @@ def _one_blas_thread() -> Iterator[None]:
     OpenBLAS splits products and factorizations by thread, which changes
     their rounding, so the sampled K and the eigenvalues would otherwise
     change in their last bits with the thread count.  Pool workers are
-    threads of this process, so the pin holds in each of them.  scipy loads
-    a second OpenBLAS, left alone: the package reaches no BLAS through
-    scipy, since ``scipy.sparse`` products and ``ks_2samp`` call none.
-    Without numpy's OpenBLAS this does nothing.
+    threads of this process, so the pin holds in each of them.  A run
+    imports no scipy submodule, so scipy's own OpenBLAS is never loaded and
+    every BLAS call goes through the library pinned here.  Without numpy's
+    OpenBLAS this does nothing.
     """
     lib = _numpy_openblas()
     if lib is None:

@@ -19,11 +19,15 @@ coupling matrix K and is diagonal with entries lambda0(weight), and L_D1
 carries the fluctuations.  The weak-dissipation form L_U + beta * L_D is
 the same object with the scale moved.
 
-Matrices are dense, 4^num_sites on a side, so building is refused above
-MAX_SUPEROPERATOR_SITES unless explicitly overridden.  ``pauli_basis_form``
-and ``real_pauli_form`` carry a column-stacked computational-basis matrix
-into the same real form; nothing in the package calls them, and they remain
-only for the Kronecker test oracle and the benchmark's layer tracer.
+L_D and every assembled generator are dense, 4^num_sites on a side, so
+building them is refused above MAX_SUPEROPERATOR_SITES unless explicitly
+overridden.  L_U stays sparse, as numpy coordinate triplets
+(:class:`SparseSuperoperator`): a 2-local H couples only adjacent weight
+sectors, 276 480 entries at 6 sites for an all-to-all H, and each generator
+is one copy of L_D with L_U added into it in place.  ``pauli_basis_form`` and
+``real_pauli_form`` carry a column-stacked computational-basis matrix into
+the same real form; nothing in the package calls them, and they remain only
+for the Kronecker test oracle and the benchmark's layer tracer.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from math import comb, sqrt
 from typing import Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ensemble import HamiltonianSpec, KossakowskiSample, kossakowski_dimension
 from .errors import NonPositiveKossakowskiError, NumericalError, ResourceLimitError
@@ -43,6 +46,7 @@ from .pauli import PHASES, PauliBasis, anticommutes, basis_state_images, product
 __all__ = [
     "MAX_SUPEROPERATOR_SITES",
     "Superoperator",
+    "SparseSuperoperator",
     "check_size",
     "jump_operator_set",
     "build_dissipator",
@@ -102,6 +106,32 @@ class Superoperator:
         """Max deviation of the trace-preservation row identity: the
         identity string owns row 0, so that row must vanish."""
         return float(np.abs(self.matrix[0]).max())
+
+
+@dataclass(frozen=True)
+class SparseSuperoperator:
+    """Sparse superoperator over a string basis of ``dim`` strings, as numpy
+    coordinate triplets: entry (rows[i], cols[i]) is values[i].  No (row,
+    col) pair repeats, so scattering the values gives the dense matrix bit
+    for bit."""
+
+    num_sites: int
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        """Dense sub-matrix over a contiguous row range and column range."""
+        r0, c0 = rows.start, cols.start
+        keep = ((self.rows >= r0) & (self.rows < rows.stop)
+                & (self.cols >= c0) & (self.cols < cols.stop))
+        out = np.zeros((rows.stop - r0, cols.stop - c0))
+        out[self.rows[keep] - r0, self.cols[keep] - c0] = self.values[keep]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return self.block(slice(0, self.dim), slice(0, self.dim))
 
 
 def _coupling_matrix(k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis) -> np.ndarray:
@@ -201,14 +231,13 @@ def build_dissipator(
     return Superoperator(num_sites, out)
 
 
-def _commutator_entries(
-    h: HamiltonianSpec, basis: PauliBasis
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of -i[H, .] in the string basis.
+def _commutator(h: HamiltonianSpec, basis: PauliBasis) -> SparseSuperoperator:
+    """-i[H, .] in the string basis.
 
     For each term J S_w and each basis string S_b anticommuting with it,
     -i[J S_w, S_b] = -2i J i^e(w, b) S_{w xor b} with i^e = +-i, so the entry
-    is +2J at e = 1 and -2J at e = 3.  Images outside a truncated basis are
+    is +2J at e = 1 and -2J at e = 3.  Distinct terms send S_b to distinct
+    rows, so no entry repeats.  Images outside a truncated basis are
     dropped.
     """
     if basis.num_sites != h.num_sites:
@@ -224,7 +253,8 @@ def _commutator_entries(
         rows.append(row)
         cols.append(b)
         vals.append(np.where(plus, 2.0 * coupling, -2.0 * coupling))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return SparseSuperoperator(h.num_sites, len(basis), np.concatenate(rows),
+                               np.concatenate(cols), np.concatenate(vals))
 
 
 def build_unitary_part(
@@ -232,34 +262,40 @@ def build_unitary_part(
     basis: PauliBasis,
     *,
     allow_large: bool = False,
-) -> Superoperator:
-    """Commutator generator -i[H, .] as a dense matrix; see
-    :func:`unitary_pauli_matrix` for its sparse form."""
+) -> SparseSuperoperator:
+    """Commutator generator -i[H, .] over the complete basis, the L_U that
+    :func:`assemble` and :func:`assemble_weak` add into L_D; see
+    :func:`unitary_pauli_matrix` for a weight window."""
     check_size(h.num_sites, allow_large)
     _check_complete(basis, h.num_sites)
-    rows, cols, vals = _commutator_entries(h, basis)
-    out = np.zeros((len(basis), len(basis)))
-    out[rows, cols] = vals
-    return Superoperator(h.num_sites, out)
+    return _commutator(h, basis)
 
 
-def _combine(scaled: Superoperator, weight: float, unit: Superoperator) -> Superoperator:
-    """weight * scaled + unit, with one new matrix."""
-    if scaled.num_sites != unit.num_sites:
-        raise ValueError("parts disagree on num_sites")
-    matrix = np.multiply(weight, scaled.matrix)
-    matrix += unit.matrix
-    return Superoperator(unit.num_sites, matrix)
+def _check_parts(unitary: SparseSuperoperator, dissipator: Superoperator) -> None:
+    if unitary.num_sites != dissipator.num_sites or unitary.dim != dissipator.dim:
+        raise ValueError("parts disagree on num_sites or basis size")
 
 
-def assemble(alpha: float, unitary: Superoperator, dissipator: Superoperator) -> Superoperator:
-    """Strong-dissipation form alpha * L_U + L_D."""
-    return _combine(unitary, alpha, dissipator)
+def assemble(
+    alpha: float, unitary: SparseSuperoperator, dissipator: Superoperator
+) -> Superoperator:
+    """Strong-dissipation form alpha * L_U + L_D: a copy of L_D with
+    alpha * L_U added into it."""
+    _check_parts(unitary, dissipator)
+    matrix = dissipator.matrix.copy()
+    matrix[unitary.rows, unitary.cols] += alpha * unitary.values
+    return Superoperator(unitary.num_sites, matrix)
 
 
-def assemble_weak(beta: float, unitary: Superoperator, dissipator: Superoperator) -> Superoperator:
-    """Weak-dissipation form L_U + beta * L_D."""
-    return _combine(dissipator, beta, unitary)
+def assemble_weak(
+    beta: float, unitary: SparseSuperoperator, dissipator: Superoperator
+) -> Superoperator:
+    """Weak-dissipation form L_U + beta * L_D: beta * L_D with L_U added
+    into it."""
+    _check_parts(unitary, dissipator)
+    matrix = np.multiply(beta, dissipator.matrix)
+    matrix[unitary.rows, unitary.cols] += unitary.values
+    return Superoperator(unitary.num_sites, matrix)
 
 
 def lambda0_fraction(k: int, num_sites: int, k_max: int = 2) -> Fraction:
@@ -292,12 +328,16 @@ def lambda0(k: int, num_sites: int, k_max: int = 2) -> float:
 # --- Pauli string basis form ------------------------------------------------
 
 
-def string_basis_matrix(basis: PauliBasis) -> sp.csc_matrix:
+def string_basis_matrix(basis: PauliBasis) -> "scipy.sparse.csc_matrix":
     """Sparse isometry whose columns are vec(S / sqrt(2^l)) per basis string.
 
     Each string has exactly one nonzero per matrix column, so column j holds
-    2^l entries at vec positions b * 2^l + (b xor x_j).
+    2^l entries at vec positions b * 2^l + (b xor x_j).  Only the test
+    oracle calls it, so ``scipy.sparse`` is imported here and nowhere on a
+    run's path.
     """
+    import scipy.sparse as sp
+
     dim = 1 << basis.num_sites
     n = len(basis)
     images, values = basis_state_images(basis.x_array, basis.z_array, basis.num_sites)
@@ -333,15 +373,10 @@ def real_pauli_form(s: Superoperator, tol: float = 1e-10) -> np.ndarray:
     return np.ascontiguousarray(s.matrix.real)
 
 
-def unitary_pauli_matrix(h: HamiltonianSpec, basis: PauliBasis) -> sp.csr_matrix:
-    """Commutator generator in the string basis as a sparse matrix.
+def unitary_pauli_matrix(h: HamiltonianSpec, basis: PauliBasis) -> SparseSuperoperator:
+    """Commutator generator in the string basis, over any weight window.
 
-    The basis may be a truncated weight window.  Only adjacent weight
-    sectors couple, since a weight-2 term changes the weight of any string
-    by exactly +-1 when the commutator survives.
+    Only adjacent weight sectors couple, since a weight-2 term changes the
+    weight of any string by exactly +-1 when the commutator survives.
     """
-    rows, cols, vals = _commutator_entries(h, basis)
-    n = len(basis)
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    m.sum_duplicates()
-    return m
+    return _commutator(h, basis)

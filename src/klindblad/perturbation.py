@@ -115,8 +115,7 @@ def second_order_exact(k: int, h: HamiltonianSpec, basis: PauliBasis) -> float:
     for m in (k - 1, k + 1):
         if not 0 <= m <= num_sites:
             continue
-        block = l_u[rows, basis.sector(m)]
-        norm_sq = float(block.power(2).sum())
+        norm_sq = float(np.sum(l_u.block(rows, basis.sector(m)) ** 2))
         if norm_sq == 0.0:
             continue
         gap = lambda0_fraction(m, num_sites) - center
@@ -213,7 +212,7 @@ def first_order_block(
     if basis.min_weight > lo or basis.max_weight < hi:
         raise ValueError(f"basis does not cover weights {lo} and {hi}")
     l_u = unitary_pauli_matrix(h, basis)
-    v = np.asarray(l_u[basis.sector(lo), basis.sector(hi)].todense())
+    v = l_u.block(basis.sector(lo), basis.sector(hi))
     n_lo, n_hi = v.shape
     block = np.zeros((n_lo + n_hi, n_lo + n_hi))
     block[:n_lo, n_lo:] = v

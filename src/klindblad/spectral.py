@@ -16,6 +16,7 @@ input matrix.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -36,6 +37,7 @@ __all__ = [
     "conjugation_residual",
     "CsrHistogram",
     "complex_spacing_ratios",
+    "ks_statistic",
     "csr_reference_ginibre",
     "csr_reference_poisson",
     "Cluster",
@@ -269,16 +271,25 @@ class CsrHistogram:
         return self.counts / (self.ratios.size * widths)
 
 
+# Points per row block of the neighbor search: each block is a
+# (block x points) distance matrix, 2 MB at 1024 points.
+_RATIO_BLOCK = 256
+
+
 def _spacing_ratios(points: np.ndarray) -> np.ndarray:
+    """Nearest over next-nearest neighbor distance for each point; 1 when
+    the next-nearest distance is 0."""
     n = points.size
     ratios = np.empty(n)
-    for i in range(n):
-        d = np.abs(points - points[i])
-        d[i] = np.inf
-        # stable sort so exact distance ties resolve by index order
-        order = np.argsort(d, kind="stable")[:2]
-        nn, nnn = d[order[0]], d[order[1]]
-        ratios[i] = nn / nnn if nnn > 0 else 1.0
+    for lo in range(0, n, _RATIO_BLOCK):
+        hi = min(lo + _RATIO_BLOCK, n)
+        d = np.abs(points[lo:hi, None] - points[None, :])
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        # the ratio depends only on the two smallest distances, not on
+        # which neighbors they belong to
+        d.partition(1, axis=1)
+        nn, nnn = d[:, 0], d[:, 1]
+        ratios[lo:hi] = np.divide(nn, nnn, out=np.ones(hi - lo), where=nnn > 0)
     return ratios
 
 
@@ -306,6 +317,31 @@ def complex_spacing_ratios(
     ratios = _spacing_ratios(kept)
     counts, edges = np.histogram(ratios, bins=bins, range=(0.0, 1.0))
     return CsrHistogram(ratios, edges, counts)
+
+
+# Up to this many samples on either side, ks_statistic rounds like the exact
+# mode of scipy.stats.ks_2samp.
+KS_EXACT_MAX = 10000
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance: the largest gap between the
+    empirical distribution functions of ``a`` and ``b``.
+
+    Both functions are read at every sample with ``searchsorted``, so ties
+    count once.  While neither sample exceeds ``KS_EXACT_MAX`` values the
+    gap is rounded to the nearest multiple of 1 / lcm(n1, n2), as the exact
+    mode of ``scipy.stats.ks_2samp`` does, whose statistic this equals.
+    """
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    gap = (np.searchsorted(a, both, side="right") / a.size
+           - np.searchsorted(b, both, side="right") / b.size)
+    d = float(np.abs(gap).max())
+    if max(a.size, b.size) <= KS_EXACT_MAX:
+        lcm = math.lcm(a.size, b.size)
+        d = round(d * lcm) / lcm
+    return d
 
 
 def csr_reference_ginibre(
@@ -538,7 +574,7 @@ def commutant_basis(
     l_u = unitary_pauli_matrix(h, basis)
     cols = basis.sector(weight)
     rows = [basis.sector(k) for k in range(lo, hi + 1) if k != weight]
-    blocks = [np.asarray(l_u[r, cols].todense()) for r in rows]
+    blocks = [l_u.block(r, cols) for r in rows]
     n_w = cols.stop - cols.start
     if not blocks:
         return np.eye(n_w)

@@ -58,6 +58,11 @@ def build_unitary_part(h: Union[HamiltonianSpec, np.ndarray]) -> Superoperator:
     return Superoperator(num_sites, -1j * (np.kron(eye, h_dense) - np.kron(h_dense.T, eye)))
 
 
+def assemble(alpha: float, unitary: Superoperator, dissipator: Superoperator) -> Superoperator:
+    """alpha * L_U + L_D of two dense parts, in whichever basis both are."""
+    return Superoperator(dissipator.num_sites, alpha * unitary.matrix + dissipator.matrix)
+
+
 def real_pauli(sup: Superoperator, basis: PauliBasis) -> np.ndarray:
     """The real string-basis matrix of a computational-basis superoperator."""
     return real_pauli_form(pauli_basis_form(sup, basis))

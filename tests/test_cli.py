@@ -14,9 +14,10 @@ import pytest
 import klindblad.cli as cli
 from klindblad.cli import main
 from klindblad.errors import NumericalError
-from klindblad.liouvillian import lambda0
+from klindblad.liouvillian import lambda0, unitary_pauli_matrix
 from klindblad.spectral import commutant_basis
-from klindblad.ensemble import HamiltonianSpec, heisenberg_hamiltonian
+from klindblad.ensemble import HamiltonianSpec, heisenberg_hamiltonian, sample_random_hamiltonian
+from klindblad.pauli import PauliBasis
 
 
 def run(*args):
@@ -350,6 +351,26 @@ def test_heisenberg_outputs(tmp_path):
             assert block["nonzeros"] == 0
 
 
+@pytest.mark.parametrize("num_sites", [3, 4, 5])
+def test_structure_census_matches_sparse_matrix_slicing(num_sites):
+    # the census the payload had when it sliced a scipy.sparse matrix
+    import scipy.sparse as sp
+
+    basis = PauliBasis(num_sites)
+    for h in (heisenberg_hamiltonian(num_sites), sample_random_hamiltonian(num_sites, seed=4)):
+        l_u = unitary_pauli_matrix(h, basis)
+        csc = sp.csc_matrix((l_u.values, (l_u.rows, l_u.cols)), shape=(l_u.dim, l_u.dim))
+        want = {}
+        for k_row in basis.weights():
+            for k_col in basis.weights():
+                block = csc[basis.sector(k_row), basis.sector(k_col)]
+                want[f"{k_row},{k_col}"] = {
+                    "nonzeros": int(block.nnz),
+                    "max_abs": float(np.abs(block.data).max()) if block.nnz else 0.0,
+                }
+        assert cli._structure_payload(h, basis) == want
+
+
 def test_heisenberg_rejects_random_hamiltonian(tmp_path):
     assert run("heisenberg", "--sites", 3, "--seed", 1, "--alpha", "0.5,1",
                "--hamiltonian", "random", "--out", tmp_path / "run") == 2
@@ -491,3 +512,31 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_runs_import_no_scipy_sparse_stats_or_linalg(tmp_path):
+    # a fresh interpreter, since this suite's own imports load scipy
+    runs = [
+        ["csr", "--alpha", "0.5", "--realizations", "2"],
+        ["csr", "--unitary-only", "--min-ratios", "3"],
+        ["spectrum", "--alpha", "0.1,0.5"],
+        ["sweep-beta", "--beta", "0"],
+        ["sweep-beta", "--beta", "0,0.05"],
+        ["density", "--alpha", "0.1", "--realizations", "2"],
+        ["heisenberg", "--alpha", "0.5,1"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from klindblad.cli import main\n"
+        "heavy = {'scipy.sparse', 'scipy.stats', 'scipy.linalg'}\n"
+        "for i, args in enumerate(json.loads(sys.argv[1])):\n"
+        "    code = main([*args, '--sites', '3', '--seed', '1', '--out', f'{sys.argv[2]}/{i}'])\n"
+        "    loaded = sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy)\n"
+        "    print(json.dumps([args, code, loaded]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert [json.loads(line) for line in result.stdout.splitlines()] == [
+        [args, 0, []] for args in runs
+    ]

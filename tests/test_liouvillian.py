@@ -157,11 +157,11 @@ def test_size_guardrail():
 def test_unitary_part_small_cases():
     basis = PauliBasis(2)
     zero = build_unitary_part(HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {}), basis)
-    assert np.count_nonzero(zero.matrix) == 0
+    assert zero.values.size == 0 and np.count_nonzero(zero.toarray()) == 0
 
     # H = ZZ has levels +-1, so -i[H, .] has 0 eight times and +-2i four times
     zz = HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {PauliString.from_label("ZZ"): 1.0})
-    eigs = np.linalg.eigvals(build_unitary_part(zz, basis).matrix)
+    eigs = np.linalg.eigvals(build_unitary_part(zz, basis).toarray())
     want = np.array([0] * 8 + [2j] * 4 + [-2j] * 4)
     assert pairing_distance(eigs, want) < 1e-12
 
@@ -173,10 +173,10 @@ def test_unitary_part_small_cases():
 
 def test_unitary_part_is_antihermitian_with_symmetric_spectrum():
     h = sample_random_hamiltonian(3, seed=5)
-    lu = build_unitary_part(h, PauliBasis(3))
-    assert lu.matrix.dtype == np.float64
-    assert np.abs(lu.matrix + lu.matrix.T).max() == 0.0
-    eigs = np.linalg.eigvals(lu.matrix)
+    lu = build_unitary_part(h, PauliBasis(3)).toarray()
+    assert lu.dtype == np.float64
+    assert np.abs(lu + lu.T).max() == 0.0
+    eigs = np.linalg.eigvals(lu)
     assert np.abs(eigs.real).max() < 1e-10
     assert pairing_distance(eigs, -eigs) < 1e-8
 
@@ -206,18 +206,41 @@ def test_assemble_linear_combinations():
     basis = PauliBasis(2)
     ld = build_dissipator(k, jump_operator_set(2, 2), basis)
     lu = build_unitary_part(h, basis)
+    dense_lu = lu.toarray()
 
     zero_alpha = assemble(0.0, lu, ld)
     assert np.array_equal(zero_alpha.matrix, ld.matrix)
 
     one = assemble(1.0, lu, ld)
-    assert np.abs(one.matrix - (lu.matrix + ld.matrix)).max() == 0.0
+    assert np.abs(one.matrix - (dense_lu + ld.matrix)).max() == 0.0
 
     weak = assemble_weak(0.0, lu, ld)
-    assert np.array_equal(weak.matrix, lu.matrix)
+    assert np.array_equal(weak.matrix, dense_lu)
 
     got = assemble_weak(0.25, lu, ld).matrix
-    assert np.abs(got - (lu.matrix + 0.25 * ld.matrix)).max() == 0.0
+    assert np.abs(got - (dense_lu + 0.25 * ld.matrix)).max() == 0.0
+    # the parts are left as they were
+    assert np.array_equal(ld.matrix, build_dissipator(k, jump_operator_set(2, 2), basis).matrix)
+
+
+@pytest.mark.parametrize("num_sites", [2, 3, 4, 5])
+def test_sparse_assembly_equals_the_dense_route(num_sites):
+    # scattering alpha * L_U into a copy of L_D gives the bits of the dense
+    # sum alpha * L_U + L_D, and likewise for the weak form
+    basis = PauliBasis(num_sites)
+    k = sample_kossakowski(num_sites, 2, seed=70 + num_sites)
+    h = sample_random_hamiltonian(num_sites, seed=80 + num_sites)
+    lu = build_unitary_part(h, basis)
+    ld = build_dissipator(k, jump_operator_set(num_sites, 2), basis)
+    dense_lu = Superoperator(num_sites, lu.toarray())
+    want_lu = oracle.real_pauli(oracle.build_unitary_part(h), basis)
+    assert np.abs(dense_lu.matrix - want_lu).max() < 1e-13
+    assert lu.values.size == np.count_nonzero(dense_lu.matrix)
+    for alpha in (0.0, 0.05, 0.7, 1.5):
+        want = oracle.assemble(alpha, dense_lu, ld).matrix
+        assert np.array_equal(assemble(alpha, lu, ld).matrix, want)
+        weak = assemble_weak(alpha, lu, ld).matrix
+        assert np.array_equal(weak, oracle.assemble(alpha, ld, dense_lu).matrix)
 
 
 def test_assemble_rejects_mismatched_parts():
@@ -269,7 +292,7 @@ def test_pauli_form_preserves_spectrum():
     for num_sites in (2, 3, 4):
         k = sample_kossakowski(num_sites, 2, seed=10)
         h = sample_random_hamiltonian(num_sites, seed=11)
-        full = assemble(
+        full = oracle.assemble(
             0.7,
             oracle.build_unitary_part(h),
             oracle.build_dissipator(k, jump_operator_set(num_sites, 2)),
@@ -331,7 +354,7 @@ def test_unitary_pauli_matrix_matches_dense_route(num_sites):
     h = sample_random_hamiltonian(num_sites, seed=17)
     basis = PauliBasis(num_sites)
     sparse = unitary_pauli_matrix(h, basis).toarray()
-    assert np.array_equal(sparse, build_unitary_part(h, basis).matrix)
+    assert np.array_equal(sparse, build_unitary_part(h, basis).toarray())
     dense = pauli_basis_form(oracle.build_unitary_part(h), basis).matrix
     assert np.abs(sparse - dense).max() < 1e-13
 
@@ -339,9 +362,9 @@ def test_unitary_pauli_matrix_matches_dense_route(num_sites):
 def test_unitary_pauli_matrix_weight_adjacency_exact():
     for h in (sample_random_hamiltonian(4, seed=18), heisenberg_hamiltonian(4)):
         basis = PauliBasis(4)
-        m = unitary_pauli_matrix(h, basis).tocoo()
-        wr = basis.weight_array[m.row]
-        wc = basis.weight_array[m.col]
+        m = unitary_pauli_matrix(h, basis)
+        wr = basis.weight_array[m.rows]
+        wc = basis.weight_array[m.cols]
         assert np.all(np.abs(wr - wc) == 1)
 
 
@@ -349,14 +372,17 @@ def test_unitary_pauli_matrix_row_counts_and_entries():
     num_sites = 4
     h = sample_random_hamiltonian(num_sites, seed=19)
     basis = PauliBasis(num_sites)
-    m = unitary_pauli_matrix(h, basis).tocsc()
+    m = unitary_pauli_matrix(h, basis)
+    per_column = np.bincount(m.cols, minlength=len(basis))
     for y, s in enumerate(basis):
         k = s.weight
         expected = h_count(k, k + 1, num_sites) + h_count(k, k - 1, num_sites)
-        assert m.indptr[y + 1] - m.indptr[y] == expected
+        assert per_column[y] == expected
+    # no (row, column) pair repeats
+    assert np.unique(m.rows * len(basis) + m.cols).size == m.values.size
     # every entry is +-2J for some coupling
     allowed = np.sort(np.concatenate([[2 * j, -2 * j] for j in h.coefficients.values()]))
-    vals = m.data
+    vals = m.values
     pos = np.searchsorted(allowed, vals)
     pos = np.clip(pos, 0, len(allowed) - 1)
     near = np.minimum(
@@ -368,14 +394,17 @@ def test_unitary_pauli_matrix_row_counts_and_entries():
 def test_unitary_pauli_matrix_k2_row_counts_at_six_sites():
     h = sample_random_hamiltonian(6, seed=20)
     basis = PauliBasis(6)
-    m = unitary_pauli_matrix(h, basis).tocsc()
+    m = unitary_pauli_matrix(h, basis)
+    assert m.values.size == 276480
     sec = basis.sector(2)
     up = h_count(2, 3, 6)
     down = h_count(2, 1, 6)
     assert (up, down) == (48, 4)
     wr = basis.weight_array
+    order = np.argsort(m.cols, kind="stable")
+    starts = np.searchsorted(m.cols[order], np.arange(len(basis) + 1))
     for y in range(sec.start, sec.stop):
-        col = m.indices[m.indptr[y] : m.indptr[y + 1]]
+        col = m.rows[order[starts[y] : starts[y + 1]]]
         assert np.count_nonzero(wr[col] == 3) == up
         assert np.count_nonzero(wr[col] == 1) == down
 
@@ -385,7 +414,7 @@ def test_unitary_pauli_matrix_truncated_basis_window():
     h = sample_random_hamiltonian(3, seed=21)
     basis = PauliBasis(3, max_weight=2)
     m = unitary_pauli_matrix(h, basis)
-    assert m.shape == (len(basis), len(basis))
+    assert m.dim == len(basis)
     full = unitary_pauli_matrix(h, PauliBasis(3)).toarray()
     assert np.abs(m.toarray() - full[: len(basis), : len(basis)]).max() < 1e-14
 
@@ -417,7 +446,7 @@ def test_unitary_part_matches_kronecker_oracle(num_sites):
     for h in models:
         want = oracle.real_pauli(oracle.build_unitary_part(h), basis)
         direct = build_unitary_part(h, basis)
-        assert np.abs(direct.matrix - want).max() < 1e-13
+        assert np.abs(direct.toarray() - want).max() < 1e-13
         assert np.abs(unitary_pauli_matrix(h, basis).toarray() - want).max() < 1e-13
 
 

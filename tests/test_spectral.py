@@ -18,10 +18,12 @@ from klindblad.liouvillian import (
     build_unitary_part,
     jump_operator_set,
     lambda0,
+    unitary_pauli_matrix,
 )
 from klindblad.pauli import PauliBasis, PauliString, to_dense
 from klindblad.spectral import (
     LEVEL_MERGE_TOL,
+    _spacing_ratios,
     cluster_by_centers,
     commutant_basis,
     complex_spacing_ratios,
@@ -32,6 +34,7 @@ from klindblad.spectral import (
     density_total_variation,
     diagonalize,
     evolve_expectation,
+    ks_statistic,
     mode_weight_profile,
     operator_overlap,
     persistent_modes,
@@ -51,7 +54,8 @@ def full_liouvillian(num_sites, alpha, k_seed=21, h_seed=32, basis_form="pauli")
     h = sample_random_hamiltonian(num_sites, seed=h_seed)
     jumps = jump_operator_set(num_sites, 2)
     if basis_form == "computational":
-        return assemble(alpha, oracle.build_unitary_part(h), oracle.build_dissipator(k, jumps))
+        return oracle.assemble(alpha, oracle.build_unitary_part(h),
+                               oracle.build_dissipator(k, jumps))
     basis = PauliBasis(num_sites)
     return assemble(alpha, build_unitary_part(h, basis), build_dissipator(k, jumps, basis))
 
@@ -125,7 +129,7 @@ def unitary_cases():
 @pytest.mark.parametrize("h", list(unitary_cases()), ids=lambda h: f"{h.kind}{h.num_sites}")
 def test_unitary_eigenvalues_match_dense_oracle(h):
     eigs = unitary_eigenvalues(h)
-    dense = np.linalg.eigvals(build_unitary_part(h, PauliBasis(h.num_sites)).matrix)
+    dense = np.linalg.eigvals(build_unitary_part(h, PauliBasis(h.num_sites)).toarray())
     assert eigs.size == 4**h.num_sites
     # both sorted by Im: the closed form has Re = 0, the dense solve ~1e-15
     assert np.abs(eigs - dense[np.argsort(dense.imag, kind="stable")]).max() <= 1e-13
@@ -229,6 +233,51 @@ def test_csr_histogram_density_normalization():
     widths = np.diff(hist.bin_edges)
     assert float((hist.density * widths).sum()) == pytest.approx(1.0)
     assert int(hist.counts.sum()) == hist.ratios.size
+
+
+def _spacing_ratios_by_sorting(points):
+    """The former per-point loop: a stable sort of each point's distances."""
+    ratios = np.empty(points.size)
+    for i in range(points.size):
+        d = np.abs(points - points[i])
+        d[i] = np.inf
+        order = np.argsort(d, kind="stable")[:2]
+        nn, nnn = d[order[0]], d[order[1]]
+        ratios[i] = nn / nnn if nnn > 0 else 1.0
+    return ratios
+
+
+@pytest.mark.parametrize("n", [3, 255, 256, 257, 700])
+def test_csr_row_blocks_give_the_bits_of_the_sorting_loop(n):
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.standard_normal(n) + 1j * rng.uniform(0.1, 2.0, n),
+        # lattice points: many exactly tied and some coinciding distances
+        rng.integers(0, 6, n) + 1j * rng.integers(1, 6, n),
+        # real-only input
+        rng.uniform(0.0, 1.0, n).astype(complex),
+    ]
+    for points in cases:
+        points = points.astype(complex)
+        assert _spacing_ratios(points).tobytes() == _spacing_ratios_by_sorting(points).tobytes()
+
+
+def test_ks_statistic_equals_scipy_ks_2samp():
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(12)
+    # both sides of the 10000-sample switch from exact to asymptotic mode
+    sizes = [(1, 1), (3, 7), (50, 50), (128, 300), (2560, 1000), (10000, 9999),
+             (10000, 10001), (12000, 500)]
+    for n1, n2 in sizes:
+        for tied in (False, True):
+            a, b = rng.random(n1), rng.random(n2) ** 1.2
+            if tied:
+                a, b = np.round(a * 8) / 8, np.round(b * 8) / 8
+            assert ks_statistic(a, b) == ks_2samp(a, b).statistic, (n1, n2, tied)
+    same = rng.random(40)
+    assert ks_statistic(same, same) == 0.0
+    assert ks_statistic(np.zeros(3), np.ones(5)) == 1.0
 
 
 def test_ginibre_reference_repulsion_and_stability():
@@ -412,6 +461,25 @@ def test_ising_coupling_commutant():
         e = np.zeros(6)
         e[basis1.index_of(PauliString.from_label(label))] = 1.0
         assert np.linalg.norm(spanned @ e - e) < 1e-10
+
+
+@pytest.mark.parametrize("num_sites", [3, 4, 5])
+def test_commutant_basis_matches_sparse_matrix_slicing(num_sites):
+    # the basis commutant_basis gave when it sliced a scipy.sparse matrix
+    import scipy.sparse as sp
+
+    for h in (heisenberg_hamiltonian(num_sites), sample_random_hamiltonian(num_sites, seed=6)):
+        for weight in range(1, num_sites + 1):
+            lo, hi = max(0, weight - 1), min(num_sites, weight + 1)
+            basis = PauliBasis(num_sites, max_weight=hi, min_weight=lo)
+            l_u = unitary_pauli_matrix(h, basis)
+            csr = sp.csr_matrix((l_u.values, (l_u.rows, l_u.cols)), shape=(l_u.dim, l_u.dim))
+            cols = basis.sector(weight)
+            a = np.vstack([csr[basis.sector(k), cols].toarray()
+                           for k in range(lo, hi + 1) if k != weight])
+            _, sigma, vt = np.linalg.svd(a, full_matrices=True)
+            rank = int(np.sum(sigma > 1e-10 * sigma[0]))
+            assert np.array_equal(commutant_basis(h, weight), vt[rank:].conj().T)
 
 
 def test_commutant_weight_bounds():
