@@ -18,8 +18,10 @@ thread count of the environment does not enter the bytes; where that
 library is not found, it does, and the manifest records no pinned count.
 Across machines only tolerances hold.
 
-Workers are threads of one process; the dense eigensolves release the
-interpreter lock.
+Workers are threads of one process.  Each dense eigensolve is one LAPACK
+call into numpy's OpenBLAS through ctypes (see ``openblas``), which releases
+the interpreter lock and overwrites the generator it solves, so no copy of
+the generator is made.
 
 Exit codes: 0 success, 2 configuration or analysis-input error, 3 resource
 guardrail, 4 numerical failure.
@@ -35,11 +37,10 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -75,6 +76,7 @@ from .liouvillian import (
     lambda0,
     unitary_pauli_matrix,
 )
+from .openblas import numpy_openblas, one_blas_thread
 from .pauli import PauliBasis
 from .perturbation import predict
 from .spectral import (
@@ -279,9 +281,11 @@ def _centers_at(num_sites: int, k_max: int, alpha: float) -> list[tuple[int, flo
 
 def _all_profiles(spectrum: Spectrum, basis: PauliBasis) -> tuple[np.ndarray, np.ndarray]:
     """Weight profiles (modes x weights) and column norms of the right modes."""
-    power = np.abs(spectrum.right_modes) ** 2
-    norms = np.sqrt(power.sum(axis=0))
-    power = power / power.sum(axis=0)
+    power = np.abs(spectrum.right_modes)
+    np.square(power, out=power)
+    column_sums = power.sum(axis=0)
+    norms = np.sqrt(column_sums)
+    power /= column_sums
     starts = [basis.sector(k).start for k in basis.weights()]
     return np.add.reduceat(power, starts, axis=0).T, norms
 
@@ -791,48 +795,6 @@ def _gnuplot_stub(out: OutputTracker) -> str:
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _numpy_openblas():
-    """numpy's bundled OpenBLAS through ctypes, or None if it is not found."""
-    import ctypes  # only the thread pin needs it
-
-    numpy_libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(numpy_libs.glob("libscipy_openblas64_*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            setter = lib.scipy_openblas_set_num_threads64_
-            getter = lib.scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        return lib
-    return None
-
-
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Pin numpy's OpenBLAS to one thread, restoring the old count on exit.
-
-    OpenBLAS splits products and factorizations by thread, which changes
-    their rounding, so the sampled K and the eigenvalues would otherwise
-    change in their last bits with the thread count.  Pool workers are
-    threads of this process, so the pin holds in each of them.  A run
-    imports no scipy submodule, so scipy's own OpenBLAS is never loaded and
-    every BLAS call goes through the library pinned here.  Without numpy's
-    OpenBLAS this does nothing.
-    """
-    lib = _numpy_openblas()
-    if lib is None:
-        yield
-        return
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(old)
-
-
 def _write_manifest(
     out: OutputTracker,
     cfg: ExperimentConfig,
@@ -841,7 +803,7 @@ def _write_manifest(
     axis_rescale: Optional[dict],
 ) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    openblas = _numpy_openblas()
+    openblas = numpy_openblas()
     # the count the command ran with: 1 under the pin
     threads = None if openblas is None else openblas.scipy_openblas_get_num_threads64_()
     manifest = {
@@ -954,7 +916,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        with _one_blas_thread():
+        with one_blas_thread():
             return _COMMANDS[args.command](cfg)
     except (ConfigError, SpectralAnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)

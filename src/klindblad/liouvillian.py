@@ -41,6 +41,7 @@ import numpy as np
 
 from .ensemble import HamiltonianSpec, KossakowskiSample, kossakowski_dimension
 from .errors import NonPositiveKossakowskiError, NumericalError, ResourceLimitError
+from .openblas import solver_matrix
 from .pauli import PHASES, PauliBasis, anticommutes, basis_state_images, product_exponent
 
 __all__ = [
@@ -158,8 +159,9 @@ def _validate_coupling(k_matrix: np.ndarray) -> None:
 
 
 # Columns per block of the dissipator scatter; the per-block temporaries are
-# a few (product strings x block) arrays, a few MB at 6 sites.
-_BLOCK = 256
+# a few (product strings x block) arrays, about 5 MB at 5 sites.  They set the
+# memory peak while another thread solves, so the block is kept small.
+_BLOCK = 64
 
 
 def _check_complete(basis: PauliBasis, num_sites: int) -> None:
@@ -213,7 +215,8 @@ def build_dissipator(
     cx, cz = basis.x_array[products, None], basis.z_array[products, None]
 
     n = len(basis)
-    out = np.zeros((n, n))
+    # Fortran order, so that each generator copies it column by column
+    out = np.zeros((n, n), order="F")
     residue = 0.0
     for lo in range(0, n, _BLOCK):
         cols = np.arange(lo, min(lo + _BLOCK, n))
@@ -280,9 +283,11 @@ def assemble(
     alpha: float, unitary: SparseSuperoperator, dissipator: Superoperator
 ) -> Superoperator:
     """Strong-dissipation form alpha * L_U + L_D: a copy of L_D with
-    alpha * L_U added into it."""
+    alpha * L_U added into it, laid out for an in-place solve
+    (:func:`klindblad.openblas.solver_matrix`)."""
     _check_parts(unitary, dissipator)
-    matrix = dissipator.matrix.copy()
+    matrix = solver_matrix(dissipator.dim)
+    matrix[...] = dissipator.matrix
     matrix[unitary.rows, unitary.cols] += alpha * unitary.values
     return Superoperator(unitary.num_sites, matrix)
 
@@ -291,9 +296,10 @@ def assemble_weak(
     beta: float, unitary: SparseSuperoperator, dissipator: Superoperator
 ) -> Superoperator:
     """Weak-dissipation form L_U + beta * L_D: beta * L_D with L_U added
-    into it."""
+    into it, laid out for an in-place solve
+    (:func:`klindblad.openblas.solver_matrix`)."""
     _check_parts(unitary, dissipator)
-    matrix = np.multiply(beta, dissipator.matrix)
+    matrix = np.multiply(beta, dissipator.matrix, out=solver_matrix(dissipator.dim))
     matrix[unitary.rows, unitary.cols] += unitary.values
     return Superoperator(unitary.num_sites, matrix)
 

@@ -10,7 +10,9 @@ histograms, and expectation-value evolution from the mode expansion.
 
 Eigenvalue order is canonical throughout: descending real part, then
 ascending imaginary part, so reports and CSV rows are stable for a fixed
-input matrix.
+input matrix.  ``diagonalize`` solves a real generator in place with LAPACK
+``dgeev`` and unpacks the right modes straight into canonical order, so a
+solve holds no copy of the generator and the modes once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import openblas
 from .ensemble import HamiltonianSpec, dense_hamiltonian
 from .errors import EigensolverError, SpectralAnalysisError
 from .liouvillian import Superoperator, unitary_pauli_matrix
@@ -124,35 +127,110 @@ def _fingerprint(matrix: np.ndarray) -> str:
     return f"shape={matrix.shape} dtype={matrix.dtype} sha256={digest[:16]}"
 
 
+# Columns per block when a generator is checked for non-finite entries and
+# when the right modes are unpacked from LAPACK's real form; each block's
+# temporaries are at most two (n x block) real arrays.
+_MODE_BLOCK = 64
+
+
+def _all_finite(m: np.ndarray) -> bool:
+    """np.isfinite(m).all(), one block of columns at a time, so that no
+    n x n mask is formed."""
+    n = m.shape[1]
+    return all(np.isfinite(m[:, lo : lo + _MODE_BLOCK]).all() for lo in range(0, n, _MODE_BLOCK))
+
+
+def _right_modes(vr: np.ndarray, wi: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The right modes np.linalg.eig makes of dgeev's packed real ``vr``,
+    with its columns taken in ``order``.
+
+    Walking the eigenvalues as numpy does, a real one owns its column, and
+    a complex pair j, j + 1 owns the modes vr_j + i vr_{j+1} and their
+    conjugate.  The modes are real when every ``wi`` is 0, as numpy returns
+    them.  They are filled in Fortran order, one block of columns at a time,
+    so they are held once.
+    """
+    n = wi.size
+    re_col, im_col = np.arange(n), np.arange(n)
+    conjugate, real = np.zeros(n, dtype=bool), wi == 0
+    j = 0
+    while j < n:
+        if real[j]:
+            j += 1
+            continue
+        re_col[j + 1], im_col[j] = j, j + 1
+        conjugate[j + 1] = True
+        j += 2
+    complex_modes = not real.all()
+    modes = np.empty((n, n), dtype=complex if complex_modes else float, order="F")
+    for lo in range(0, n, _MODE_BLOCK):
+        src = order[lo : lo + _MODE_BLOCK]
+        cols = slice(lo, lo + src.size)
+        modes.real[:, cols] = vr[:, re_col[src]]
+        if complex_modes:
+            im = vr[:, im_col[src]]
+            im[:, conjugate[src]] *= -1.0
+            im[:, real[src]] = 0.0
+            modes.imag[:, cols] = im
+    return modes
+
+
 def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
     """Full non-Hermitian eigendecomposition of a superoperator.
 
+    A real float64 ``s.matrix`` is consumed: LAPACK ``dgeev`` of numpy's
+    OpenBLAS (see :mod:`klindblad.openblas`) overwrites it with its Schur
+    form, so a caller that reads the matrix afterwards passes a copy.  The
+    eigenvalues and right modes are bit for bit those of
+    ``np.linalg.eigvals``/``eig``, which still serve complex input and runs
+    where that library or its ``dgeev`` is not found.
+
     With ``vectors`` the spectrum keeps the right modes V and the residual
-    max |M(Vx) - V(Lambda x)| of one fixed unit vector x, which costs O(n^2)
-    where the full max |MV - V Lambda| costs an O(n^3) product, and never
-    exceeds sqrt(n) times it.  The left modes are computed when first read
-    (see ``Spectrum``); a failed inverse marks the spectrum non-diagonalizable
+    max |(y^T M) V - (y^T V) Lambda| of one fixed unit vector y, with y^T M
+    taken before the solve.  It costs O(n^2) where the full
+    max |MV - V Lambda| costs an O(n^3) product, and never exceeds sqrt(n)
+    times it.  The left modes are computed when first read (see
+    ``Spectrum``); a failed inverse marks the spectrum non-diagonalizable
     rather than raising, since downstream reports can still use the
     eigenvalues.
     """
     m = s.matrix
-    try:
+    if vectors:
+        y = np.random.default_rng(PROBE_SEED).standard_normal(m.shape[0])
+        y /= np.linalg.norm(y)
+        y_m = y @ m
+    solved = None
+    if m.dtype == np.float64:
+        if not _all_finite(m):
+            raise EigensolverError(f"non-finite entries in {_fingerprint(m)}")
+        solved = openblas.dgeev(m, vectors)
+    if solved is None:
+        try:
+            if not vectors:
+                eigs = np.linalg.eigvals(m)
+                return Spectrum(s.num_sites, eigs[_canonical_order(eigs)])
+            eigs, right = np.linalg.eig(m)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigensolver failed on {_fingerprint(m)}") from exc
+        order = _canonical_order(eigs)
+        right = right[:, order]
+    else:
+        wr, wi, vr, info = solved
+        del solved  # so that vr is freed once the modes are unpacked
+        if info != 0:
+            raise EigensolverError(f"dgeev failed with info {info} on a {m.shape} {m.dtype} matrix")
+        if wi.any():
+            eigs = np.empty(wr.size, dtype=complex)
+            eigs.real, eigs.imag = wr, wi
+        else:
+            eigs = wr
+        order = _canonical_order(eigs)
         if not vectors:
-            eigs = np.linalg.eigvals(m)
-            order = _canonical_order(eigs)
             return Spectrum(s.num_sites, eigs[order])
-        eigs, right = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed on {_fingerprint(m)}") from exc
-    order = _canonical_order(eigs)
+        right = _right_modes(vr, wi, order)
+        del vr
     eigs = eigs[order]
-    right = right[:, order]
-    x = np.random.default_rng(PROBE_SEED).standard_normal(eigs.size)
-    x /= np.linalg.norm(x)
-    vx = right @ x
-    # two real products: M @ (complex vector) would first copy M to complex
-    m_vx = m @ vx.real + 1j * (m @ vx.imag)
-    diag_residual = float(np.abs(m_vx - right @ (eigs * x)).max())
+    diag_residual = float(np.abs(y_m @ right - (y @ right) * eigs).max())
     return Spectrum(s.num_sites, eigs, right, diag_residual)
 
 

@@ -1,5 +1,18 @@
 import numpy as np
+import pytest
 from scipy.optimize import linear_sum_assignment
+
+from klindblad.openblas import one_blas_thread
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _one_blas_thread_per_session():
+    """Pin numpy's OpenBLAS to one thread for the whole session, as a run
+    pins it: BLAS calls made by the tests themselves would otherwise use
+    every core and stall when the cores are shared.  Subprocess tests set
+    their own thread count through the environment."""
+    with one_blas_thread():
+        yield
 
 
 def pairing_distance(a, b) -> float:

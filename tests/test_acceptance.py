@@ -19,7 +19,6 @@ from scipy.linalg import expm
 from scipy.stats import ks_2samp, kstest
 
 import oracle
-from klindblad.cli import _one_blas_thread as one_blas_thread
 from klindblad.cli import main as cli_main
 from klindblad.ensemble import (
     STREAM_HAMILTONIAN,
@@ -180,20 +179,19 @@ def zero_coupling_report_5():
 @pytest.fixture(scope="module")
 def l6_sweep():
     """Six-site coupling sweep shared by the nightly cluster checks, solved
-    on two threads with numpy's BLAS pinned to one thread."""
+    on two threads under the session's one-thread BLAS pin (conftest.py)."""
     basis = PauliBasis(6)
 
     def solve(alpha):
         eigs = np.linalg.eigvals(assemble(alpha, l_u, l_d).matrix)
         return alpha, (eigs, cluster_by_centers(eigs, predicted_centers(6, alpha)))
 
-    with one_blas_thread():
-        k = sample_kossakowski(6, 2, seed=21)
-        h = sample_random_hamiltonian(6, seed=32)
-        l_u = build_unitary_part(h, basis)
-        l_d = build_dissipator(k, jump_operator_set(6, 2), basis)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            return dict(pool.map(solve, (0.0, 0.02, 0.04, 0.06, 0.08, 0.10)))
+    k = sample_kossakowski(6, 2, seed=21)
+    h = sample_random_hamiltonian(6, seed=32)
+    l_u = build_unitary_part(h, basis)
+    l_d = build_dissipator(k, jump_operator_set(6, 2), basis)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(pool.map(solve, (0.0, 0.02, 0.04, 0.06, 0.08, 0.10)))
 
 
 def _population_check(report, num_sites):
@@ -360,8 +358,8 @@ CSR_ALPHAS = (0.05, 0.15, 0.5, 1.5)
 @pytest.fixture(scope="module")
 def csr_pools():
     """Pooled spacing ratios over 100 realizations at 5 sites, solved on two
-    threads with numpy's BLAS pinned to one thread and merged in realization
-    order."""
+    threads under the session's one-thread BLAS pin (conftest.py) and merged
+    in realization order."""
     num_sites, seed = 5, 77
     basis = PauliBasis(num_sites)
     jumps = jump_operator_set(num_sites, 2)
@@ -378,7 +376,7 @@ def csr_pools():
             ratios[alpha] = complex_spacing_ratios(eigs).ratios
         return ratios
 
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+    with ThreadPoolExecutor(max_workers=2) as pool:
         per_realization = list(pool.map(ratios_of, range(100)))
     return {key: np.concatenate([ratios[key] for ratios in per_realization])
             for key in per_realization[0]}

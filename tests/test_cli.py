@@ -15,6 +15,7 @@ import klindblad.cli as cli
 from klindblad.cli import main
 from klindblad.errors import NumericalError
 from klindblad.liouvillian import lambda0, unitary_pauli_matrix
+from klindblad import openblas
 from klindblad.spectral import commutant_basis
 from klindblad.ensemble import HamiltonianSpec, heisenberg_hamiltonian, sample_random_hamiltonian
 from klindblad.pauli import PauliBasis
@@ -58,7 +59,7 @@ def test_manifest_records_numeric_environment(tmp_path, monkeypatch):
     manifest = manifest_of(out)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     # the run pins numpy's OpenBLAS to one thread, where it finds that library
-    pinned = None if cli._numpy_openblas() is None else 1
+    pinned = None if openblas.numpy_openblas() is None else 1
     assert manifest["libraries"]["blas"] == {
         "name": blas["name"], "version": blas["version"], "threads": pinned}
     threads = manifest["blas_threads"]
@@ -503,6 +504,32 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
         assert run("spectrum", "--sites", 2, "--seed", 1, "--alpha", "0.1,0.2",
                    "--realizations", realizations, "--workers", 2,
                    "--out", tmp_path / f"pool{realizations}") == 4
+
+
+def test_failed_solve_exit_code(tmp_path, monkeypatch, capsys):
+    assemble = cli.assemble
+
+    def poisoned(*args):
+        generator = assemble(*args)
+        generator.matrix[1, 1] = np.nan
+        return generator
+
+    monkeypatch.setattr(cli, "assemble", poisoned)
+    for command in ("spectrum", "csr"):
+        assert run(command, "--sites", 2, "--seed", 1, "--alpha", "0.1", "--min-ratios", 3,
+                   "--out", tmp_path / f"nan-{command}") == 4
+        assert "non-finite entries" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "assemble", assemble)
+
+    def unconverged(a, vectors):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros(n), np.zeros((n, n)) if vectors else None, 3
+
+    monkeypatch.setattr(openblas, "dgeev", unconverged)
+    for command in ("spectrum", "csr"):
+        assert run(command, "--sites", 2, "--seed", 1, "--alpha", "0.1", "--min-ratios", 3,
+                   "--out", tmp_path / f"info-{command}") == 4
+        assert "info 3" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

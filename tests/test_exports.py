@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-MODULES = ["ensemble", "liouvillian", "pauli", "perturbation", "spectral"]
+MODULES = ["ensemble", "liouvillian", "openblas", "pauli", "perturbation", "spectral"]
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 

@@ -37,6 +37,7 @@ from klindblad.liouvillian import (
     string_basis_matrix,
     unitary_pauli_matrix,
 )
+from klindblad import openblas
 from klindblad.pauli import PauliBasis, PauliString
 
 
@@ -221,6 +222,11 @@ def test_assemble_linear_combinations():
     assert np.abs(got - (dense_lu + 0.25 * ld.matrix)).max() == 0.0
     # the parts are left as they were
     assert np.array_equal(ld.matrix, build_dissipator(k, jump_operator_set(2, 2), basis).matrix)
+    # L_D is in Fortran order, and every generator in the padded layout
+    # LAPACK solves in place
+    assert ld.matrix.flags.f_contiguous
+    for m in (zero_alpha.matrix, one.matrix, weak.matrix, got):
+        assert m.strides == (8, 8 * (16 + openblas.PAD_ROWS))
 
 
 @pytest.mark.parametrize("num_sites", [2, 3, 4, 5])

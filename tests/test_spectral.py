@@ -1,9 +1,14 @@
 """Tests for spectral decomposition, statistics, and mode analysis."""
 
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from klindblad import openblas, spectral
 from klindblad.ensemble import (
     HamiltonianSpec,
     heisenberg_hamiltonian,
@@ -23,6 +28,7 @@ from klindblad.liouvillian import (
 from klindblad.pauli import PauliBasis, PauliString, to_dense
 from klindblad.spectral import (
     LEVEL_MERGE_TOL,
+    _canonical_order,
     _spacing_ratios,
     cluster_by_centers,
     commutant_basis,
@@ -65,9 +71,9 @@ def full_liouvillian(num_sites, alpha, k_seed=21, h_seed=32, basis_form="pauli")
 
 def test_diagonalize_invariants():
     s = full_liouvillian(3, 0.5)
+    m = s.matrix.copy()  # diagonalize consumes s.matrix
     spec = diagonalize(s)
     assert spec.dim == 64
-    m = s.matrix
     residual = np.abs(m @ spec.right_modes - spec.right_modes * spec.eigenvalues).max()
     assert residual < 1e-8
     # the probe residual of one unit vector is bounded by sqrt(n) times the full one
@@ -111,9 +117,105 @@ def test_eigenvalue_ordering_is_canonical():
 
 def test_eigenvalues_only_matches_full_solve():
     s = full_liouvillian(3, 0.8)
-    a = diagonalize(s, vectors=False).eigenvalues
+    a = diagonalize(Superoperator(3, s.matrix.copy()), vectors=False).eigenvalues
     b = diagonalize(s).eigenvalues
     assert pairing_distance(a, b) < 1e-10
+
+
+def _has_dgeev():
+    return openblas.dgeev(np.zeros((1, 1)), False) is not None
+
+
+def _solve_cases():
+    for num_sites in (3, 4, 5):
+        yield f"l{num_sites}", lambda n=num_sites: full_liouvillian(n, 0.5)
+    # every eigenvalue real: numpy returns real eigenvalues and modes
+    yield "real-spectrum", lambda: build_dissipator(
+        np.eye(36), jump_operator_set(3, 2), PauliBasis(3))
+    # a C-ordered input is copied into the solver's layout first
+    yield "c-order", lambda: Superoperator(3, np.ascontiguousarray(full_liouvillian(3, 0.5).matrix))
+
+
+@pytest.mark.parametrize("library", ["found", "forced-none"])
+@pytest.mark.parametrize("case", list(_solve_cases()), ids=lambda case: case[0])
+def test_solve_gives_the_bits_of_numpy(case, library, monkeypatch):
+    if library == "forced-none":
+        monkeypatch.setattr(openblas, "numpy_openblas", lambda: None)
+    elif not _has_dgeev():
+        pytest.skip("numpy's OpenBLAS or its dgeev was not found")
+    s = case[1]()
+    m = s.matrix.copy()
+    in_place = library == "found" and case[0] != "c-order"
+
+    want = np.linalg.eigvals(m)
+    got = diagonalize(Superoperator(s.num_sites, s.matrix.copy(order="K")), vectors=False)
+    assert got.eigenvalues.dtype == want.dtype
+    assert got.eigenvalues.tobytes() == want[_canonical_order(want)].tobytes()
+
+    want, right = np.linalg.eig(m)
+    order = _canonical_order(want)
+    got = diagonalize(s)
+    assert got.eigenvalues.dtype == want.dtype
+    assert got.eigenvalues.tobytes() == want[order].tobytes()
+    assert got.right_modes.dtype == right.dtype
+    assert got.right_modes.flags.f_contiguous
+    assert got.right_modes.tobytes() == right[:, order].tobytes()
+    # the in-place solve leaves the Schur form where the generator was; a
+    # diagonal matrix is its own Schur form
+    overwritten = in_place and case[0] != "real-spectrum"
+    assert np.array_equal(s.matrix, m) != overwritten
+
+
+def test_dgeev_refuses_what_it_cannot_solve():
+    if not _has_dgeev():
+        pytest.skip("numpy's OpenBLAS or its dgeev was not found")
+    for bad in (np.zeros((2, 3)), np.zeros((2, 2), dtype=np.float32), np.zeros(4)):
+        with pytest.raises(ValueError):
+            openblas.dgeev(bad, False)
+
+
+def test_solve_allocates_no_copy_of_the_generator():
+    if not _has_dgeev():
+        pytest.skip("numpy's OpenBLAS or its dgeev was not found")
+    matrix = full_liouvillian(5, 0.5).matrix
+    n = matrix.shape[0]
+    real_nn = 8 * n * n
+    tracemalloc.start()
+    try:
+        for vectors in (False, True):
+            s = Superoperator(5, matrix.copy(order="F"))
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            spec = diagonalize(s, vectors=vectors)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            if vectors:
+                # V, the real eigenvectors dgeev writes, and one block of
+                # columns being unpacked
+                blocks = 3 * 8 * n * spectral._MODE_BLOCK
+                assert peak <= spec.right_modes.nbytes + real_nn + blocks
+            else:
+                # eigenvalues, LAPACK's workspace and one block of the
+                # finiteness check
+                assert peak < real_nn / 16
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_releases_the_interpreter_lock():
+    if not _has_dgeev():
+        pytest.skip("numpy's OpenBLAS or its dgeev was not found")
+    s = full_liouvillian(5, 0.5)
+    worker = threading.Thread(target=diagonalize, args=(s, False))
+    start = last = time.perf_counter()
+    longest = 0.0
+    worker.start()
+    while worker.is_alive() and last - start < 60:
+        now = time.perf_counter()
+        longest, last = max(longest, now - last), now
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    # a solve that held the lock would stall this loop for all of its length
+    assert longest < (last - start) / 4
 
 
 # --- closed-form unitary spectrum -------------------------------------------
