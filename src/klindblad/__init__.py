@@ -21,11 +21,7 @@ from .errors import (
 from .pauli import (
     PauliBasis,
     PauliString,
-    PhasedPauli,
-    commutator,
-    commutes,
     enumerate_basis,
-    multiply,
     sector_dimension,
     to_dense,
 )
@@ -62,7 +58,6 @@ from .perturbation import (
     h_count,
     predict,
     second_order_exact,
-    second_order_mean,
 )
 from .spectral import (
     ClusterReport,
@@ -81,12 +76,11 @@ from .spectral import (
     diagonalize,
     evolve_expectation,
     ks_statistic,
-    mode_weight_profile,
-    operator_overlap,
     persistent_modes,
     random_weight_operator,
     spectral_density,
     unitary_eigenvalues,
+    weight_profiles,
 )
 
 __version__ = "0.1.0"

@@ -34,23 +34,22 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .ensemble import (
     STREAM_ANALYSIS,
     STREAM_HAMILTONIAN,
     STREAM_KOSSAKOWSKI,
-    HamiltonianSpec,
     HEISENBERG_PBC,
     KossakowskiSample,
     RANDOM_ALL_TO_ALL,
@@ -74,7 +73,6 @@ from .liouvillian import (
     check_size,
     jump_operator_set,
     lambda0,
-    unitary_pauli_matrix,
 )
 from .openblas import numpy_openblas, one_blas_thread
 from .pauli import PauliBasis
@@ -95,6 +93,7 @@ from .spectral import (
     random_weight_operator,
     spectral_density,
     unitary_eigenvalues,
+    weight_profiles,
 )
 
 MIN_SITES = 2
@@ -103,6 +102,18 @@ MIN_SITES = 2
 # channels, superoperator or not.  Without --allow-large n stays within what
 # the site guardrail admits: 4^6 - 1 = 4095 at 6 sites and k_max = 6, 268 MB.
 MAX_CHANNELS = 4**MAX_SUPEROPERATOR_SITES - 1
+
+
+# What a value of each field type must be, since a config file may hold any
+# JSON value; the coupling lists are tuples of floats by then.
+_SETTING_CHECKS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v)),
+    "str": lambda v: isinstance(v, str),
+    "Optional[tuple[float, ...]]": lambda v: v is None or all(map(math.isfinite, v)),
+}
 
 
 @dataclass(frozen=True)
@@ -133,6 +144,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.seed is None:
             raise ConfigError("a master seed is required; there is no wall-clock default")
+        wrong = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+                 if not _SETTING_CHECKS[f.type](getattr(self, f.name))]
+        if wrong:
+            raise ConfigError(f"invalid settings (wrong type or not finite): {', '.join(wrong)}")
+        if self.seed < 0:
+            raise ConfigError(f"the seed must be a non-negative integer, got {self.seed}")
         if self.sites < MIN_SITES:
             raise ConfigError(f"need at least {MIN_SITES} sites, got {self.sites}")
         if not 1 <= self.k_max <= self.sites:
@@ -279,17 +296,6 @@ def _centers_at(num_sites: int, k_max: int, alpha: float) -> list[tuple[int, flo
     return centers
 
 
-def _all_profiles(spectrum: Spectrum, basis: PauliBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Weight profiles (modes x weights) and column norms of the right modes."""
-    power = np.abs(spectrum.right_modes)
-    np.square(power, out=power)
-    column_sums = power.sum(axis=0)
-    norms = np.sqrt(column_sums)
-    power /= column_sums
-    starts = [basis.sector(k).start for k in basis.weights()]
-    return np.add.reduceat(power, starts, axis=0).T, norms
-
-
 _EMPTY = ""
 
 
@@ -420,7 +426,7 @@ def _labelled_rows(
     cfg = rz.cfg
     profiles = overlaps = None
     if spectrum.right_modes is not None:
-        profiles, norms = _all_profiles(spectrum, rz.basis)
+        profiles, norms = weight_profiles(spectrum.right_modes, rz.basis)
         overlaps = np.abs(probe @ spectrum.right_modes) / norms
     eigs = spectrum.eigenvalues
     report = cluster_by_centers(eigs, _centers_at(cfg.sites, cfg.k_max, alpha))
@@ -561,8 +567,7 @@ def cmd_csr(cfg: ExperimentConfig) -> int:
     }
     for key in results[0]:
         pooled = np.concatenate([ratios[key] for ratios in results])
-        counts, edges = np.histogram(pooled, bins=cfg.bins, range=(0.0, 1.0))
-        hist = CsrHistogram(pooled, edges, counts)
+        hist = CsrHistogram.of(pooled, cfg.bins)
         name = "unitary" if key == "unitary" else f"a{_tag(key)}"
         out.write_rows(f"csr_data_{name}.csv", _HIST_HEADER, _hist_rows(hist))
         summary["data"][name] = {
@@ -622,6 +627,7 @@ def _heisenberg_worker(rz: Realization, map_couplings: Callable) -> dict:
         "rows": rows,
         "commutant_dims": commutant_dims,
         "persistence": _persistence_payload(persistence),
+        "structure": _structure_payload(l_u, basis),
     }
 
 
@@ -655,9 +661,8 @@ def _persistence_payload(report) -> dict:
     }
 
 
-def _structure_payload(h: HamiltonianSpec, basis: PauliBasis) -> dict:
+def _structure_payload(l_u: SparseSuperoperator, basis: PauliBasis) -> dict:
     """Per-sector-pair census of the analytic commutator matrix."""
-    l_u = unitary_pauli_matrix(h, basis)
     row_weight, col_weight = basis.weight_array[l_u.rows], basis.weight_array[l_u.cols]
     blocks = {}
     for k_row in basis.weights():
@@ -688,9 +693,7 @@ def cmd_heisenberg(cfg: ExperimentConfig) -> int:
         "commutant.json",
         {"dims_by_weight": results[0]["commutant_dims"]},
     )
-    basis = PauliBasis(cfg.sites)
-    out.write_json("unitary_structure.json", _structure_payload(
-        heisenberg_hamiltonian(cfg.sites), basis))
+    out.write_json("unitary_structure.json", results[0]["structure"])
     pred_header, pred_rows = _prediction_rows(cfg.sites, cfg.k_max, alphas)
     out.write_rows("predictions.csv", pred_header, pred_rows)
     _write_manifest(out, cfg, "heisenberg", models,
@@ -806,11 +809,19 @@ def _write_manifest(
     openblas = numpy_openblas()
     # the count the command ran with: 1 under the pin
     threads = None if openblas is None else openblas.scipy_openblas_get_num_threads64_()
+    # read from the installed metadata, so that a run imports no scipy
+    # module; imported here, so that importing this module stays as fast
+    import importlib.metadata
+
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
     manifest = {
         "version": __version__,
         "libraries": {
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy_version,
             "blas": {
                 "name": blas.get("name"),
                 "version": blas.get("version"),
@@ -888,6 +899,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} does not hold a JSON object")
         unknown = set(loaded) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -898,9 +911,13 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             values[key] = flag_value
     if args.command == "heisenberg":
         values.setdefault("hamiltonian", HEISENBERG_PBC)
+    finite = _SETTING_CHECKS["float"]
     for key in ("alphas", "betas"):
-        if values.get(key) is not None:
-            values[key] = tuple(float(v) for v in values[key])
+        value = values.get(key)
+        if value is not None:
+            if not isinstance(value, (list, tuple)) or not all(map(finite, value)):
+                raise ConfigError(f"{key} must be a list of finite numbers, got {value!r}")
+            values[key] = tuple(float(v) for v in value)
     missing = [key for key in ("sites", "seed", "out") if values.get(key) is None]
     if missing:
         raise ConfigError(f"missing required settings: {', '.join(missing)}")

@@ -163,12 +163,6 @@ class HamiltonianSpec:
             if s.weight != 2:
                 raise ValueError(f"term {s} has weight {s.weight}; only weight-2 terms allowed")
 
-    def terms(self) -> list[tuple[PauliString, float]]:
-        return list(self.coefficients.items())
-
-    def squared_coupling_sum(self) -> float:
-        return float(sum(j * j for j in self.coefficients.values()))
-
 
 def sample_random_hamiltonian(
     num_sites: int,

@@ -24,10 +24,12 @@ building them is refused above MAX_SUPEROPERATOR_SITES unless explicitly
 overridden.  L_U stays sparse, as numpy coordinate triplets
 (:class:`SparseSuperoperator`): a 2-local H couples only adjacent weight
 sectors, 276 480 entries at 6 sites for an all-to-all H, and each generator
-is one copy of L_D with L_U added into it in place.  ``pauli_basis_form`` and
-``real_pauli_form`` carry a column-stacked computational-basis matrix into
-the same real form; nothing in the package calls them, and they remain only
-for the Kronecker test oracle and the benchmark's layer tracer.
+is one copy of L_D with L_U added into it in place.  L_U over any weight
+window comes from :func:`unitary_pauli_matrix`, which
+:func:`build_unitary_part` calls on the complete basis.  ``pauli_basis_form``
+and ``real_pauli_form`` carry a column-stacked computational-basis matrix
+into the same real form; nothing in the package calls them, and they remain
+only for the Kronecker test oracle and the benchmark's layer tracer.
 """
 
 from __future__ import annotations
@@ -234,32 +236,6 @@ def build_dissipator(
     return Superoperator(num_sites, out)
 
 
-def _commutator(h: HamiltonianSpec, basis: PauliBasis) -> SparseSuperoperator:
-    """-i[H, .] in the string basis.
-
-    For each term J S_w and each basis string S_b anticommuting with it,
-    -i[J S_w, S_b] = -2i J i^e(w, b) S_{w xor b} with i^e = +-i, so the entry
-    is +2J at e = 1 and -2J at e = 3.  Distinct terms send S_b to distinct
-    rows, so no entry repeats.  Images outside a truncated basis are
-    dropped.
-    """
-    if basis.num_sites != h.num_sites:
-        raise ValueError("basis and Hamiltonian disagree on num_sites")
-    x, z = basis.x_array, basis.z_array
-    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    for s_w, coupling in h.coefficients.items():
-        wx, wz = np.uint64(s_w.x_bits), np.uint64(s_w.z_bits)
-        b = np.flatnonzero(anticommutes(wx, wz, x, z))
-        row = basis.lookup(wx ^ x[b], wz ^ z[b])
-        b, row = b[row >= 0], row[row >= 0]
-        plus = product_exponent(wx, wz, x[b], z[b]) == 1
-        rows.append(row)
-        cols.append(b)
-        vals.append(np.where(plus, 2.0 * coupling, -2.0 * coupling))
-    return SparseSuperoperator(h.num_sites, len(basis), np.concatenate(rows),
-                               np.concatenate(cols), np.concatenate(vals))
-
-
 def build_unitary_part(
     h: HamiltonianSpec,
     basis: PauliBasis,
@@ -271,7 +247,7 @@ def build_unitary_part(
     :func:`unitary_pauli_matrix` for a weight window."""
     check_size(h.num_sites, allow_large)
     _check_complete(basis, h.num_sites)
-    return _commutator(h, basis)
+    return unitary_pauli_matrix(h, basis)
 
 
 def _check_parts(unitary: SparseSuperoperator, dissipator: Superoperator) -> None:
@@ -380,9 +356,27 @@ def real_pauli_form(s: Superoperator, tol: float = 1e-10) -> np.ndarray:
 
 
 def unitary_pauli_matrix(h: HamiltonianSpec, basis: PauliBasis) -> SparseSuperoperator:
-    """Commutator generator in the string basis, over any weight window.
+    """Commutator generator -i[H, .] in the string basis, over any weight window.
 
-    Only adjacent weight sectors couple, since a weight-2 term changes the
-    weight of any string by exactly +-1 when the commutator survives.
+    For each term J S_w and each basis string S_b anticommuting with it,
+    -i[J S_w, S_b] = -2i J i^e(w, b) S_{w xor b} with i^e = +-i, so the entry
+    is +2J at e = 1 and -2J at e = 3.  Distinct terms send S_b to distinct
+    rows, so no entry repeats.  Only adjacent weight sectors couple, since a
+    weight-2 term changes the weight of any string by exactly +-1 when the
+    commutator survives; images outside a truncated basis are dropped.
     """
-    return _commutator(h, basis)
+    if basis.num_sites != h.num_sites:
+        raise ValueError("basis and Hamiltonian disagree on num_sites")
+    x, z = basis.x_array, basis.z_array
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for s_w, coupling in h.coefficients.items():
+        wx, wz = np.uint64(s_w.x_bits), np.uint64(s_w.z_bits)
+        b = np.flatnonzero(anticommutes(wx, wz, x, z))
+        row = basis.lookup(wx ^ x[b], wz ^ z[b])
+        b, row = b[row >= 0], row[row >= 0]
+        plus = product_exponent(wx, wz, x[b], z[b]) == 1
+        rows.append(row)
+        cols.append(b)
+        vals.append(np.where(plus, 2.0 * coupling, -2.0 * coupling))
+    return SparseSuperoperator(h.num_sites, len(basis), np.concatenate(rows),
+                               np.concatenate(cols), np.concatenate(vals))

@@ -11,8 +11,9 @@ with the sign convention Y = i·X·Z.  This is the one module that knows the
 encoding: the product rule S_p S_q = i^e S_{p xor q} (:func:`product_exponent`),
 the commutation test (:func:`anticommutes`), the i^k table (``PHASES``) and
 the action P|b> on computational states (:func:`basis_state_images`) all live
-here, broadcast over bit arrays.  The superoperator builders and the scalar
-:func:`multiply`, :func:`commutes` and :func:`commutator` all call them.
+here, broadcast over uint64 bit arrays.  The superoperator builders call
+them; a single pair of strings is a call on one-element arrays, since numpy
+scalars warn on the uint8 wraparound of :func:`product_exponent`.
 
 Labels read site 0 leftmost: ``PauliString.from_label("XIZ")`` is X on site 0,
 Z on site 2.
@@ -31,15 +32,11 @@ from .errors import ResourceLimitError
 
 __all__ = [
     "PauliString",
-    "PhasedPauli",
     "PauliBasis",
     "PHASES",
     "product_exponent",
     "anticommutes",
     "basis_state_images",
-    "multiply",
-    "commutes",
-    "commutator",
     "enumerate_basis",
     "to_dense",
     "sector_dimension",
@@ -133,21 +130,6 @@ class PauliString:
         return self.to_label()
 
 
-@dataclass(frozen=True)
-class PhasedPauli:
-    """A Pauli string carrying an exact fourth-root-of-unity scalar."""
-
-    string: PauliString
-    phase: complex
-
-    def __post_init__(self) -> None:
-        if self.phase not in PHASES:
-            raise ValueError(f"phase must be a fourth root of unity, got {self.phase!r}")
-
-    def dense(self) -> np.ndarray:
-        return self.phase * to_dense(self.string)
-
-
 def product_exponent(x1, z1, x2, z2) -> np.ndarray:
     """e with S_1 S_2 = i^e S_{1 xor 2}, broadcast over uint64 bit arrays.
 
@@ -176,34 +158,6 @@ def basis_state_images(x, z, num_sites: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.arange(1 << num_sites, dtype=np.uint64)
     signs = 1.0 - 2.0 * (np.bitwise_count(b & z) % 2)
     return b ^ x, PHASES[np.bitwise_count(x & z) % 4] * signs
-
-
-def _bit_arrays(p: PauliString, q: PauliString) -> list[np.ndarray]:
-    """(x_p, z_p, x_q, z_q) as one-element arrays, so that the scalar forms
-    run the broadcast rule on its array path, where wraparound is silent."""
-    if p.num_sites != q.num_sites:
-        raise ValueError(f"site-count mismatch: {p.num_sites} vs {q.num_sites}")
-    return [np.array([v], dtype=np.uint64) for v in (p.x_bits, p.z_bits, q.x_bits, q.z_bits)]
-
-
-def multiply(p: PauliString, q: PauliString) -> PhasedPauli:
-    """Exact product: dense(p) @ dense(q) == phase * dense(result)."""
-    phase = complex(PHASES[product_exponent(*_bit_arrays(p, q))[0]])
-    return PhasedPauli(PauliString(p.num_sites, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits), phase)
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff dense(p) and dense(q) commute (symplectic form even)."""
-    return not anticommutes(*_bit_arrays(p, q))[0]
-
-
-def commutator(p: PauliString, q: PauliString) -> Optional[PhasedPauli]:
-    """[p, q] as 2 * phase * string, or None when the strings commute.
-
-    The scalar 2 is left to the caller: the returned PhasedPauli satisfies
-    dense(p) @ dense(q) - dense(q) @ dense(p) == 2 * phase * dense(string).
-    """
-    return None if commutes(p, q) else multiply(p, q)
 
 
 def to_dense(p: PauliString) -> np.ndarray:
@@ -301,10 +255,6 @@ class PauliBasis:
 
     def __getitem__(self, i: int) -> PauliString:
         return self._strings[i]
-
-    @property
-    def strings(self) -> tuple[PauliString, ...]:
-        return tuple(self._strings)
 
     def _position(self, string: PauliString) -> int:
         if string.num_sites != self.num_sites:

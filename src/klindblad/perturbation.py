@@ -26,7 +26,6 @@ from .pauli import PauliBasis, sector_dimension
 
 __all__ = [
     "h_count",
-    "second_order_mean",
     "second_order_mean_fraction",
     "second_order_exact",
     "WeightGroup",
@@ -89,10 +88,6 @@ def second_order_mean_fraction(k: int, num_sites: int, k_max: int = 2) -> Fracti
     return Fraction(8, 9 * num_sites * (num_sites - 1)) * total
 
 
-def second_order_mean(k: int, num_sites: int, k_max: int = 2) -> float:
-    return float(second_order_mean_fraction(k, num_sites, k_max))
-
-
 def second_order_exact(k: int, h: HamiltonianSpec, basis: PauliBasis) -> float:
     """Second-order shift of cluster k for one concrete Hamiltonian.
 
@@ -134,10 +129,6 @@ class WeightGroup:
 
     weights: tuple[int, ...]
     center: Fraction
-
-    @property
-    def consecutive_pair(self) -> bool:
-        return any(b - a == 1 for a, b in zip(self.weights, self.weights[1:]))
 
 
 def degenerate_groups(num_sites: int, k_max: int = 2) -> list[WeightGroup]:
@@ -231,10 +222,6 @@ class PerturbationPrediction:
     h_down: tuple[int, ...]
     lambda2_means: tuple[Optional[Fraction], ...]
     groups: tuple[WeightGroup, ...]
-
-    @property
-    def weights(self) -> range:
-        return range(self.num_sites + 1)
 
     def center(self, k: int, alpha: float) -> float:
         shift = self.lambda2_means[k]

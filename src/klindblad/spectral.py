@@ -6,7 +6,10 @@ the levels of H, trace-preservation and symmetry sanity reports, cluster
 bookkeeping against predicted centers, complex spacing ratios with
 synthetic references, operator-weight profiles of eigenmodes, commutant
 bases, persistence tracking across a coupling sweep, spectral density
-histograms, and expectation-value evolution from the mode expansion.
+histograms, and expectation-value evolution from the mode expansion.  The
+weight profiles of all modes come from one reader, :func:`weight_profiles`,
+which the eigenvalue tables and the persistence report both use, so the two
+give one mode the same floats.
 
 Eigenvalue order is canonical throughout: descending real part, then
 ascending imaginary part, so reports and CSV rows are stable for a fixed
@@ -46,9 +49,8 @@ __all__ = [
     "Cluster",
     "ClusterReport",
     "cluster_by_centers",
-    "mode_weight_profile",
+    "weight_profiles",
     "random_weight_operator",
-    "operator_overlap",
     "commutant_basis",
     "TrackedMode",
     "TrackedGroup",
@@ -97,9 +99,6 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def steady_indices(self, tol: float = STEADY_TOL) -> np.ndarray:
-        return np.flatnonzero(np.abs(self.eigenvalues) < tol)
-
     @cached_property
     def left_modes(self) -> Optional[np.ndarray]:
         if self.right_modes is None:
@@ -127,9 +126,10 @@ def _fingerprint(matrix: np.ndarray) -> str:
     return f"shape={matrix.shape} dtype={matrix.dtype} sha256={digest[:16]}"
 
 
-# Columns per block when a generator is checked for non-finite entries and
-# when the right modes are unpacked from LAPACK's real form; each block's
-# temporaries are at most two (n x block) real arrays.
+# Columns per block when a generator is checked for non-finite entries, when
+# the right modes are unpacked from LAPACK's real form and when their weight
+# profiles are read; each block's temporaries are at most two (n x block)
+# real arrays.
 _MODE_BLOCK = 64
 
 
@@ -267,11 +267,17 @@ def unitary_eigenvalues(h: HamiltonianSpec, distinct: bool = False) -> np.ndarra
     return eigs[_canonical_order(eigs)]
 
 
-def conjugation_residual(eigs: np.ndarray, chunk: int = 512) -> float:
+# Points per row block of the nearest-neighbor searches (conjugates and
+# spacing ratios): each block is a (block x points) distance matrix, 2 MB at
+# 1024 points.
+_NEIGHBOR_BLOCK = 256
+
+
+def conjugation_residual(eigs: np.ndarray) -> float:
     """Max distance from any eigenvalue's conjugate to the nearest eigenvalue."""
     worst = 0.0
-    for lo in range(0, eigs.size, chunk):
-        block = np.conj(eigs[lo : lo + chunk])
+    for lo in range(0, eigs.size, _NEIGHBOR_BLOCK):
+        block = np.conj(eigs[lo : lo + _NEIGHBOR_BLOCK])
         d = np.abs(block[:, None] - eigs[None, :]).min(axis=1)
         worst = max(worst, float(d.max()))
     return worst
@@ -290,39 +296,32 @@ class CptpReport:
     steady_identity_overlap: Optional[float]
     steady_identity_ok: Optional[bool]
 
-    @property
-    def all_ok(self) -> bool:
-        checks = [self.max_re_ok, self.zero_mode_present, self.conjugation_ok]
-        if self.steady_identity_ok is not None:
-            checks.append(self.steady_identity_ok)
-        return all(checks)
 
-
-def cptp_checks(spectrum: Spectrum, tol: float = 1e-8) -> CptpReport:
+def cptp_checks(spectrum: Spectrum) -> CptpReport:
     """Verify the spectral fingerprints of a valid dissipative generator.
 
-    Checks max Re <= tol, the presence of a zero mode, conjugation symmetry
-    of the eigenvalue multiset, and, when left modes are available, that
-    the zero mode's left partner is the identity functional (the trace).
+    Checks max Re < ``STEADY_TOL``, the presence of a zero mode (within
+    ``STEADY_TOL``), conjugation symmetry of the eigenvalue multiset to the
+    same tolerance, and, when left modes are available, that the zero mode's
+    left partner is the identity functional (the trace).
     """
     eigs = spectrum.eigenvalues
     max_re = float(eigs.real.max())
-    zero_present = bool(spectrum.steady_indices(tol).size)
+    steady = np.flatnonzero(np.abs(eigs) < STEADY_TOL)
     conj_res = conjugation_residual(eigs)
     overlap: Optional[float] = None
     overlap_ok: Optional[bool] = None
-    if spectrum.left_modes is not None and zero_present:
-        idx = int(spectrum.steady_indices(tol)[0])
-        left = spectrum.left_modes[idx]
+    if spectrum.left_modes is not None and steady.size:
+        left = spectrum.left_modes[steady[0]]
         # the identity string owns index 0
         overlap = float(np.abs(left[0]) / np.linalg.norm(left))
         overlap_ok = overlap > 1.0 - 1e-8
     return CptpReport(
         max_re,
-        max_re < tol,
-        zero_present,
+        max_re < STEADY_TOL,
+        bool(steady.size),
         conj_res,
-        conj_res < tol,
+        conj_res < STEADY_TOL,
         overlap,
         overlap_ok,
     )
@@ -339,6 +338,12 @@ class CsrHistogram:
     bin_edges: np.ndarray
     counts: np.ndarray
 
+    @classmethod
+    def of(cls, ratios: np.ndarray, bins: int) -> "CsrHistogram":
+        """The ratios in ``bins`` equal bins on [0, 1]."""
+        counts, edges = np.histogram(ratios, bins=bins, range=(0.0, 1.0))
+        return cls(ratios, edges, counts)
+
     @property
     def mean_ratio(self) -> float:
         return float(self.ratios.mean())
@@ -349,18 +354,13 @@ class CsrHistogram:
         return self.counts / (self.ratios.size * widths)
 
 
-# Points per row block of the neighbor search: each block is a
-# (block x points) distance matrix, 2 MB at 1024 points.
-_RATIO_BLOCK = 256
-
-
 def _spacing_ratios(points: np.ndarray) -> np.ndarray:
     """Nearest over next-nearest neighbor distance for each point; 1 when
     the next-nearest distance is 0."""
     n = points.size
     ratios = np.empty(n)
-    for lo in range(0, n, _RATIO_BLOCK):
-        hi = min(lo + _RATIO_BLOCK, n)
+    for lo in range(0, n, _NEIGHBOR_BLOCK):
+        hi = min(lo + _NEIGHBOR_BLOCK, n)
         d = np.abs(points[lo:hi, None] - points[None, :])
         d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         # the ratio depends only on the two smallest distances, not on
@@ -392,9 +392,7 @@ def complex_spacing_ratios(
             f"{kept.size} eigenvalues have Im > 1e-10; "
             f"need at least {needed} for spacing ratios"
         )
-    ratios = _spacing_ratios(kept)
-    counts, edges = np.histogram(ratios, bins=bins, range=(0.0, 1.0))
-    return CsrHistogram(ratios, edges, counts)
+    return CsrHistogram.of(_spacing_ratios(kept), bins)
 
 
 # Up to this many samples on either side, ks_statistic rounds like the exact
@@ -432,9 +430,7 @@ def csr_reference_ginibre(
     for _ in range(samples):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         all_ratios.append(_spacing_ratios(np.linalg.eigvals(g)))
-    ratios = np.concatenate(all_ratios)
-    counts, edges = np.histogram(ratios, bins=bins, range=(0.0, 1.0))
-    return CsrHistogram(ratios, edges, counts)
+    return CsrHistogram.of(np.concatenate(all_ratios), bins)
 
 
 def csr_reference_poisson(
@@ -463,9 +459,7 @@ def csr_reference_poisson(
         else:
             raise ValueError(f"unknown geometry {geometry!r}")
         all_ratios.append(_spacing_ratios(pts))
-    ratios = np.concatenate(all_ratios)
-    counts, edges = np.histogram(ratios, bins=bins, range=(0.0, 1.0))
-    return CsrHistogram(ratios, edges, counts)
+    return CsrHistogram.of(np.concatenate(all_ratios), bins)
 
 
 # --- clustering -------------------------------------------------------------
@@ -493,20 +487,19 @@ class ClusterReport:
     steady_indices: np.ndarray
     separation_score: Optional[float]
 
-    def by_label(self, label: str) -> Cluster:
-        for c in self.clusters:
-            if c.label == label:
-                return c
-        raise KeyError(f"no cluster labeled {label!r}")
+
+# Predicted centers closer than this are one center: exact collisions between
+# weight sectors are a real feature of the unperturbed spectrum.
+CENTER_MERGE_TOL = 1e-9
 
 
 def _merge_centers(
-    centers: Sequence[tuple[Union[int, str], float]], tol: float
+    centers: Sequence[tuple[Union[int, str], float]]
 ) -> list[tuple[str, float]]:
     ordered = sorted(centers, key=lambda item: item[1])
     merged: list[tuple[list, float]] = []
     for label, value in ordered:
-        if merged and abs(value - merged[-1][1]) < tol:
+        if merged and abs(value - merged[-1][1]) < CENTER_MERGE_TOL:
             merged[-1][0].append(label)
         else:
             merged.append(([label], value))
@@ -516,16 +509,13 @@ def _merge_centers(
 def cluster_by_centers(
     eigs: np.ndarray,
     centers: Sequence[tuple[Union[int, str], float]],
-    steady_tol: float = STEADY_TOL,
-    merge_tol: float = 1e-9,
 ) -> ClusterReport:
     """Assign each eigenvalue to the nearest center by real part.
 
-    Centers within ``merge_tol`` of each other are merged first and carry a
-    comma-joined label; exact center collisions between weight sectors are
-    a real feature of the unperturbed spectrum, not noise.  Clusters extend
-    vertically once the coupling is on, so only Re enters the distance.
-    Near-zero eigenvalues are the steady sector and are kept out of the
+    Centers within ``CENTER_MERGE_TOL`` of each other are merged first and
+    carry a comma-joined label.  Clusters extend vertically once the
+    coupling is on, so only Re enters the distance.  Eigenvalues within
+    ``STEADY_TOL`` of zero are the steady sector and are kept out of the
     assignment.
     """
     eigs = np.asarray(eigs, dtype=complex).ravel()
@@ -533,8 +523,8 @@ def cluster_by_centers(
         raise SpectralAnalysisError("empty eigenvalue set")
     if not centers:
         raise SpectralAnalysisError("no cluster centers given")
-    merged = _merge_centers(centers, merge_tol)
-    steady = np.flatnonzero(np.abs(eigs) < steady_tol)
+    merged = _merge_centers(centers)
+    steady = np.flatnonzero(np.abs(eigs) < STEADY_TOL)
     active = np.setdiff1d(np.arange(eigs.size), steady)
     targets = np.array([value for _, value in merged])
     nearest = np.abs(eigs.real[active, None] - targets[None, :]).argmin(axis=1)
@@ -572,26 +562,28 @@ def cluster_by_centers(
 # --- eigenmode operator content ---------------------------------------------
 
 
-def _as_string_coefficients(mode: np.ndarray, basis: PauliBasis) -> np.ndarray:
-    coeffs = np.asarray(mode, dtype=complex)
-    if coeffs.size != len(basis):
-        raise ValueError(f"mode length {coeffs.size} does not match basis size {len(basis)}")
-    return coeffs
+def weight_profiles(modes: np.ndarray, basis: PauliBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Operator-weight content of modes given as columns over ``basis``.
 
-
-def mode_weight_profile(mode: np.ndarray, basis: PauliBasis) -> np.ndarray:
-    """Operator-weight content w_k = sum over weight-k strings of |<S|mode>|^2.
-
-    Indexed by weight from basis.min_weight to basis.max_weight; sums to 1
-    for any complete basis after the internal normalization.
+    Returns the profiles, one row per mode with w_k = sum over weight-k
+    strings of |<S|mode>|^2 / |mode|^2 for k in ``basis.weights()``, and
+    the modes' norms.  Each row sums to 1 for a complete basis.  The modes
+    are read one block of columns at a time, so the temporaries are a few
+    (strings x block) arrays.
     """
-    coeffs = _as_string_coefficients(mode, basis)
-    norm = np.linalg.norm(coeffs)
-    if norm == 0.0:
-        raise SpectralAnalysisError("zero mode vector has no weight profile")
-    coeffs = coeffs / norm
-    power = np.abs(coeffs) ** 2
-    return np.array([power[basis.sector(k)].sum() for k in basis.weights()])
+    if modes.shape[0] != len(basis):
+        raise ValueError(f"mode length {modes.shape[0]} does not match basis size {len(basis)}")
+    starts = [basis.sector(k).start for k in basis.weights()]
+    profiles, norms = np.empty((modes.shape[1], len(starts))), np.empty(modes.shape[1])
+    for lo in range(0, modes.shape[1], _MODE_BLOCK):
+        cols = slice(lo, lo + _MODE_BLOCK)
+        power = np.abs(modes[:, cols])
+        np.square(power, out=power)
+        column_sums = power.sum(axis=0)
+        norms[cols] = np.sqrt(column_sums)
+        power /= column_sums
+        profiles[cols] = np.add.reduceat(power, starts, axis=0).T
+    return profiles, norms
 
 
 def random_weight_operator(
@@ -609,38 +601,20 @@ def random_weight_operator(
     return coeffs
 
 
-def operator_overlap(
-    mode: np.ndarray,
-    operator_coeffs: np.ndarray,
-    basis: PauliBasis,
-) -> float:
-    """|<operator|mode>| with both sides unit-normalized.
-
-    Both vectors live in the orthonormal string basis, where the inner
-    product equals the normalized trace pairing of the operators.
-    """
-    coeffs = _as_string_coefficients(mode, basis)
-    norm = np.linalg.norm(coeffs)
-    if norm == 0.0:
-        raise SpectralAnalysisError("zero mode vector")
-    op = np.asarray(operator_coeffs, dtype=complex)
-    op_norm = np.linalg.norm(op)
-    if op_norm == 0.0:
-        raise SpectralAnalysisError("zero operator")
-    return float(np.abs(np.vdot(op, coeffs)) / (norm * op_norm))
+# Singular values below this fraction of the largest span the commutant.
+COMMUTANT_NULL_TOL = 1e-10
 
 
 def commutant_basis(
     h: HamiltonianSpec,
     weight: int,
-    null_tol: float = 1e-10,
 ) -> np.ndarray:
     """Orthonormal basis of weight-``weight`` operators commuting with H.
 
     Restricts the commutator generator to the given weight sector; its
     image lives in the adjacent sectors, and the kernel, read off from the
-    singular values below ``null_tol`` relative to the largest, is the
-    commutant slice.  Columns are coefficient vectors over that sector's
+    singular values below ``COMMUTANT_NULL_TOL`` relative to the largest, is
+    the commutant slice.  Columns are coefficient vectors over that sector's
     strings.
     """
     num_sites = h.num_sites
@@ -661,7 +635,7 @@ def commutant_basis(
     top = sigma[0] if sigma.size else 0.0
     if top == 0.0:
         return np.eye(n_w)
-    rank = int(np.sum(sigma > null_tol * top))
+    rank = int(np.sum(sigma > COMMUTANT_NULL_TOL * top))
     return vt[rank:].conj().T
 
 
@@ -709,18 +683,20 @@ def persistent_modes(
     window: float = 0.05,
     weight_threshold: float = 0.8,
     reference_operators: Optional[Sequence[tuple[str, np.ndarray]]] = None,
-    merge_tol: float = 1e-9,
 ) -> PersistenceReport:
     """Find eigenvalues that stay pinned to unperturbed centers as the
     coupling grows.
 
     A mode counts as persistent for a center c when, at the largest
     coupling, it sits within ``window * |c|`` of c and its operator-weight
-    profile keeps at least ``weight_threshold`` of its mass in the center's
-    weight sectors.  Occupation of each window is also tallied at every
-    sweep point.  Identical spectra across the sweep (for instance a
-    coupling of zero everywhere) make every mode trivially persistent; the
-    report flags that instead of pretending significance.
+    profile (:func:`weight_profiles`) keeps at least ``weight_threshold`` of
+    its mass in the center's weight sectors.  Occupation of each window is
+    also tallied at every sweep point.  Identical spectra across the sweep
+    (for instance a coupling of zero everywhere) make every mode trivially
+    persistent; the report flags that instead of pretending significance.
+    Each persistent mode is scored against the reference operators, given as
+    coefficient vectors over ``basis``, by |<op|mode>| with both sides
+    unit-normalized, and by the norm of its projection on their span.
     """
     if len(sweep) < 2:
         raise ValueError("persistence needs at least 2 sweep points")
@@ -730,8 +706,6 @@ def persistent_modes(
     if final.right_modes is None:
         raise ValueError("the largest-coupling spectrum must carry eigenmodes")
 
-    merged = _merge_centers(centers, merge_tol)
-
     degenerate = len(set(alphas)) < 2
     if not degenerate:
         ref = np.sort_complex(sweep[0][1].eigenvalues)
@@ -739,41 +713,37 @@ def persistent_modes(
             np.abs(np.sort_complex(s.eigenvalues) - ref).max() < 1e-12 for _, s in sweep[1:]
         )
 
-    ortho_span: Optional[np.ndarray] = None
     if reference_operators:
         stacked = np.column_stack([op for _, op in reference_operators]).astype(complex)
         q, r = np.linalg.qr(stacked)
-        keep = np.abs(np.diagonal(r)) > 1e-12
-        ortho_span = q[:, keep]
+        ortho_span = q[:, np.abs(np.diagonal(r)) > 1e-12]
+        ref_norms = np.linalg.norm(stacked, axis=0)
+        if not ref_norms.all():
+            raise SpectralAnalysisError("zero reference operator")
+        stacked /= ref_norms
 
+    profiles, norms = weight_profiles(final.right_modes, basis)
     groups = []
-    for label, center in merged:
+    for label, center in _merge_centers(centers):
         weights_in_label = {int(w) for w in label.split(",")}
         radius = window * abs(center)
         counts = tuple(
             int(np.sum(np.abs(s.eigenvalues - center) < radius)) for _, s in sweep
         )
-        modes = []
-        for idx in np.flatnonzero(np.abs(final.eigenvalues - center) < radius):
-            vec = final.right_modes[:, idx]
-            profile = mode_weight_profile(vec, basis)
-            mass = sum(profile[k - basis.min_weight] for k in weights_in_label)
-            if mass < weight_threshold:
-                continue
-            best: Optional[tuple[str, float]] = None
-            span: Optional[float] = None
-            if reference_operators:
-                scored = [
-                    (name, operator_overlap(vec, op, basis))
-                    for name, op in reference_operators
-                ]
-                best = max(scored, key=lambda item: item[1])
-                proj = ortho_span.conj().T @ (vec / np.linalg.norm(vec))
-                span = float(np.linalg.norm(proj))
-            modes.append(
-                TrackedMode(int(idx), complex(final.eigenvalues[idx]), profile, best, span)
-            )
-        groups.append(TrackedGroup(label, center, counts, tuple(modes)))
+        kept = [int(i) for i in np.flatnonzero(np.abs(final.eigenvalues - center) < radius)
+                if sum(profiles[i, k - basis.min_weight] for k in weights_in_label)
+                >= weight_threshold]
+        best = span = [None] * len(kept)
+        if reference_operators and kept:
+            unit = final.right_modes[:, kept]
+            unit /= norms[kept]
+            overlaps = np.abs(stacked.conj().T @ unit)
+            best = [(reference_operators[j][0], float(overlaps[j, c]))
+                    for c, j in enumerate(overlaps.argmax(axis=0))]
+            span = np.linalg.norm(ortho_span.conj().T @ unit, axis=0).tolist()
+        modes = tuple(TrackedMode(i, complex(final.eigenvalues[i]), profiles[i], b, s)
+                      for i, b, s in zip(kept, best, span))
+        groups.append(TrackedGroup(label, center, counts, modes))
     return PersistenceReport(alphas, window, weight_threshold, degenerate, tuple(groups))
 
 

@@ -28,7 +28,7 @@ def vec_identity(num_sites: int) -> np.ndarray:
 def jump_stack(jumps: PauliBasis) -> np.ndarray:
     """Dense jump operators, ``stack[n]`` = strings[n] / sqrt(2^l)."""
     norm = sqrt(2.0**jumps.num_sites)
-    return np.array([to_dense(s) / norm for s in jumps.strings])
+    return np.array([to_dense(s) / norm for s in jumps])
 
 
 def build_dissipator(

@@ -1,7 +1,9 @@
 """End-to-end checks of the experiment runner: exit codes, output inventory,
 and the byte-level reproducibility contract."""
 
+import csv
 import hashlib
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -62,10 +64,23 @@ def test_manifest_records_numeric_environment(tmp_path, monkeypatch):
     pinned = None if openblas.numpy_openblas() is None else 1
     assert manifest["libraries"]["blas"] == {
         "name": blas["name"], "version": blas["version"], "threads": pinned}
+    # looked up without importing scipy, with its own version string
+    import scipy
+    assert manifest["libraries"]["scipy"] == scipy.__version__
     threads = manifest["blas_threads"]
     assert threads["OMP_NUM_THREADS"] == "3"
     assert threads["MKL_NUM_THREADS"] is None
     assert threads["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+def test_manifest_without_scipy_records_null(tmp_path, monkeypatch):
+    def absent(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", absent)
+    out = tmp_path / "run"
+    assert run("spectrum", "--sites", 2, "--seed", 11, "--alpha", "0", "--out", out) == 0
+    assert manifest_of(out)["libraries"]["scipy"] is None
 
 
 def test_spectrum_byte_reproducibility(tmp_path):
@@ -369,7 +384,22 @@ def test_structure_census_matches_sparse_matrix_slicing(num_sites):
                     "nonzeros": int(block.nnz),
                     "max_abs": float(np.abs(block.data).max()) if block.nnz else 0.0,
                 }
-        assert cli._structure_payload(h, basis) == want
+        assert cli._structure_payload(l_u, basis) == want
+
+
+def test_persistence_profiles_equal_the_eigenvalue_rows(tmp_path):
+    # one reader gives a mode's weight profile to both files, so the JSON
+    # floats equal the 17-digit CSV columns of the strongest coupling
+    out = tmp_path / "run"
+    assert run("heisenberg", "--sites", 4, "--seed", 1, "--alpha", "0.5,2", "--out", out) == 0
+    with open(out / "eigenvalues_r000_a2.csv") as f:
+        rows = {tuple(float(row[key]) for key in ("re", "im", "w0", "w1", "w2", "w3", "w4"))
+                for row in csv.DictReader(f)}
+    persistence = json.loads((out / "persistence_r000.json").read_text())
+    modes = [(m["eigenvalue_re"], m["eigenvalue_im"], *m["profile"])
+             for group in persistence["groups"] for m in group["modes"]]
+    assert len(modes) == persistence["total_persistent"] > 0
+    assert [mode for mode in modes if mode not in rows] == []
 
 
 def test_heisenberg_rejects_random_hamiltonian(tmp_path):
@@ -446,6 +476,35 @@ def test_config_file_missing(tmp_path):
 def test_alpha_and_beta_mutually_exclusive(tmp_path):
     assert run("spectrum", "--sites", 2, "--seed", 1, "--alpha", "0.1",
                "--beta", "0.1", "--out", tmp_path / "run") == 2
+
+
+@pytest.mark.parametrize(
+    "settings, args",
+    [
+        pytest.param({}, ["--seed", -1], id="negative-seed"),
+        pytest.param({"seed": 1.5}, [], id="float-seed"),
+        pytest.param({"seed": True}, [], id="bool-seed"),
+        pytest.param({"sites": "3"}, ["--seed", 1], id="string-sites"),
+        pytest.param({"alphas": 0.1}, ["--seed", 1], id="scalar-alphas"),
+        pytest.param({"alphas": ["0.1"]}, ["--seed", 1], id="string-alpha"),
+        pytest.param({"window": "wide"}, ["--seed", 1], id="string-window"),
+        pytest.param({"gnuplot": 1}, ["--seed", 1], id="int-flag"),
+        pytest.param({}, ["--seed", 1, "--alpha", "nan"], id="nan-alpha"),
+        pytest.param({}, ["--seed", 1, "--alpha", "0.1,inf"], id="inf-alpha"),
+        pytest.param({}, ["--seed", 1, "--window", "nan"], id="nan-window"),
+    ],
+)
+def test_configuration_errors_exit_2(tmp_path, capsys, settings, args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sites": 3, "alphas": [0.1], **settings}))
+    assert run("csr", "--config", cfg, *args, "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_file_must_hold_an_object(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('["sites"]')
+    assert run("csr", "--config", cfg) == 2
 
 
 def test_k_max_out_of_range(tmp_path):
@@ -542,7 +601,8 @@ def test_module_entry_point(tmp_path):
 
 
 def test_runs_import_no_scipy_sparse_stats_or_linalg(tmp_path):
-    # a fresh interpreter, since this suite's own imports load scipy
+    # a fresh interpreter, since this suite's own imports load scipy; a run
+    # loads no scipy module at all, not even for the manifest's version
     runs = [
         ["csr", "--alpha", "0.5", "--realizations", "2"],
         ["csr", "--unitary-only", "--min-ratios", "3"],
@@ -555,10 +615,9 @@ def test_runs_import_no_scipy_sparse_stats_or_linalg(tmp_path):
     script = (
         "import json, sys\n"
         "from klindblad.cli import main\n"
-        "heavy = {'scipy.sparse', 'scipy.stats', 'scipy.linalg'}\n"
         "for i, args in enumerate(json.loads(sys.argv[1])):\n"
         "    code = main([*args, '--sites', '3', '--seed', '1', '--out', f'{sys.argv[2]}/{i}'])\n"
-        "    loaded = sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy)\n"
+        "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "    print(json.dumps([args, code, loaded]))\n"
     )
     result = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],

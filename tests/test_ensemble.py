@@ -158,7 +158,8 @@ def test_random_hamiltonian_norm_in_expectation():
     # sum J^2 is a scaled chi^2 with 54 dof at 4 sites: mean 1, var 2/54
     samples = 500
     sums = np.array(
-        [sample_random_hamiltonian(4, seed=s).squared_coupling_sum() for s in range(samples)]
+        [sum(j * j for j in sample_random_hamiltonian(4, seed=s).coefficients.values())
+         for s in range(samples)]
     )
     se = sqrt(2 / 54 / samples)
     assert abs(sums.mean() - 1.0) < 3 * se
@@ -166,7 +167,7 @@ def test_random_hamiltonian_norm_in_expectation():
 
 def test_random_hamiltonian_exact_norm_flag():
     h = sample_random_hamiltonian(3, seed=5, exact_norm=True)
-    assert h.squared_coupling_sum() == pytest.approx(1.0, abs=1e-14)
+    assert sum(j * j for j in h.coefficients.values()) == pytest.approx(1.0, abs=1e-14)
     dense = dense_hamiltonian(h)
     assert np.trace(dense @ dense).real == pytest.approx(2.0**3, abs=1e-10)
 
