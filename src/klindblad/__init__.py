@@ -1,8 +1,8 @@
 """Spectra of Lindblad generators with random k-local Pauli dissipation.
 
-The package builds real superoperators in the Pauli string basis, a dense
-L_D and a sparse L_U, for generators of the form alpha * L_U + L_D (or
-L_U + beta * L_D), where L_D couples all Pauli strings up to a cutoff weight
+The package builds, in the Pauli string basis, a sparse L_U and a compact
+factor of L_D, writes from them generators alpha * L_U + L_D (or L_U +
+beta * L_D), where L_D couples all Pauli strings up to a cutoff weight
 through a random positive coupling matrix, and analyzes the resulting
 non-Hermitian spectra: cluster structure and its perturbative predictions,
 spacing-ratio statistics, eigenmode operator content, commutants,
@@ -37,12 +37,13 @@ from .ensemble import (
     substream,
 )
 from .liouvillian import (
+    DissipatorFactor,
     SparseSuperoperator,
     Superoperator,
     assemble,
-    assemble_weak,
     build_dissipator,
     build_unitary_part,
+    dissipator_factor,
     jump_operator_set,
     lambda0,
     lambda0_fraction,

@@ -64,15 +64,15 @@ from .ensemble import (
 from .errors import ConfigError, NumericalError, ResourceLimitError, SpectralAnalysisError
 from .liouvillian import (
     MAX_SUPEROPERATOR_SITES,
+    DissipatorFactor,
     SparseSuperoperator,
-    Superoperator,
     assemble,
-    assemble_weak,
-    build_dissipator,
     build_unitary_part,
     check_size,
+    dissipator_factor,
     jump_operator_set,
     lambda0,
+    unitary_pauli_matrix,
 )
 from .openblas import numpy_openblas, one_blas_thread
 from .pauli import PauliBasis
@@ -234,11 +234,11 @@ class Realization:
     depend on the coupling list or on the order they are drawn in.  K and
     the complete string basis are built once, on first use.  An analyzer
     calls ``generators`` once, before it spreads its couplings over threads.
-    L_U is kept sparse and L_D dense, so a realization holds one dense
-    matrix, and each coupling adds L_U into one new copy of L_D, scaled
-    (see ``assemble``).  The spectrum of L_U alone comes from the levels of
-    H, so a unitary-only or beta = 0 run builds neither the basis nor L_U
-    and L_D.
+    L_U is kept sparse and L_D as its compact factor, so a realization
+    holds no n x n matrix; each coupling writes both parts, scaled, into
+    the one matrix it solves (see ``assemble``).  The spectrum of L_U alone
+    comes from the levels of H, so a unitary-only or beta = 0 run builds
+    neither the basis nor L_U and L_D.
     """
 
     def __init__(self, cfg: ExperimentConfig, index: int):
@@ -266,15 +266,15 @@ class Realization:
         check_size(self.cfg.sites, self.cfg.allow_large)
         return PauliBasis(self.cfg.sites)
 
-    def generators(self) -> tuple[SparseSuperoperator, Superoperator]:
-        """(sparse L_U, dense L_D), built anew on each call.  Analyzers
+    def generators(self) -> tuple[SparseSuperoperator, DissipatorFactor]:
+        """(sparse L_U, factor of L_D), built anew on each call.  Analyzers
         call it once, before they spread the couplings over threads, so that
         K and the basis are cached by then: ``cached_property`` holds no
         lock from Python 3.12 on."""
         allow_large = self.cfg.allow_large
         l_u = build_unitary_part(self.h, self.basis, allow_large=allow_large)
         jumps = jump_operator_set(self.cfg.sites, self.cfg.k_max)
-        return l_u, build_dissipator(self.k, jumps, self.basis, allow_large=allow_large)
+        return l_u, dissipator_factor(self.k, jumps, self.basis, allow_large=allow_large)
 
     def digests(self) -> dict:
         return {
@@ -397,11 +397,12 @@ def _run_pool(analyze: Callable, cfg: ExperimentConfig) -> tuple[list[dict], lis
     merged in realization order regardless of completion order.
 
     With at least as many realizations as workers, each thread takes whole
-    realizations, so at most ``workers`` copies of L_U and L_D are alive,
-    and ``map_couplings`` is the builtin ``map``.  With fewer, the
-    realizations run in turn and each one's couplings go to the pool
-    through its ``map``; nothing is submitted from inside the pool.  One
-    worker runs inline, where a tracer's span stack can follow the calls.
+    realizations, so at most ``workers`` generators are alive, each beside
+    its realization's L_U and factor of L_D, and ``map_couplings`` is the
+    builtin ``map``.  With fewer, the realizations run in turn and each
+    one's couplings go to the pool through its ``map``; nothing is
+    submitted from inside the pool.  One worker runs inline, where a
+    tracer's span stack can follow the calls.
     """
     indices = range(cfg.realizations)
     if cfg.workers == 1:
@@ -420,18 +421,19 @@ def _run_pool(analyze: Callable, cfg: ExperimentConfig) -> tuple[list[dict], lis
 
 def _labelled_rows(
     rz: Realization, alpha: float, spectrum: Spectrum, probe: np.ndarray
-) -> tuple[list[list], ClusterReport]:
-    """Eigenvalue rows labelled by predicted cluster, with weight profiles
-    and probe overlaps when the spectrum carries its right modes."""
+) -> tuple[list[list], ClusterReport, Optional[tuple[np.ndarray, np.ndarray]]]:
+    """Eigenvalue rows labelled by predicted cluster, the cluster report, and
+    the right modes' ``weight_profiles`` (None without), read into the rows."""
     cfg = rz.cfg
-    profiles = overlaps = None
+    weights = profiles = overlaps = None
     if spectrum.right_modes is not None:
-        profiles, norms = weight_profiles(spectrum.right_modes, rz.basis)
+        weights = profiles, norms = weight_profiles(spectrum.right_modes, rz.basis)
         overlaps = np.abs(probe @ spectrum.right_modes) / norms
     eigs = spectrum.eigenvalues
     report = cluster_by_centers(eigs, _centers_at(cfg.sites, cfg.k_max, alpha))
     labels = _labels_from_report(report, spectrum.dim)
-    return _eigen_rows(cfg.seed, alpha, eigs, labels, profiles, overlaps, cfg.sites), report
+    rows = _eigen_rows(cfg.seed, alpha, eigs, labels, profiles, overlaps, cfg.sites)
+    return rows, report, weights
 
 
 def _spectrum_worker(rz: Realization, map_couplings: Callable) -> dict:
@@ -439,8 +441,8 @@ def _spectrum_worker(rz: Realization, map_couplings: Callable) -> dict:
     l_u, l_d = rz.generators()
 
     def solve(alpha: float) -> dict:
-        spectrum = diagonalize(assemble(alpha, l_u, l_d))
-        rows, report = _labelled_rows(rz, alpha, spectrum, probe)
+        spectrum = diagonalize(assemble(l_u, l_d, unitary=alpha))
+        rows, report, _ = _labelled_rows(rz, alpha, spectrum, probe)
         rescale = 1.0 / alpha if alpha > 0 else None
         return {"rows": rows, "clusters": _cluster_payload(report, rescale)}
 
@@ -478,7 +480,7 @@ def _beta_worker(rz: Realization, map_couplings: Callable) -> dict:
         if beta == 0:
             eigs = unitary_eigenvalues(rz.h)
         else:
-            eigs = diagonalize(assemble_weak(beta, *generators), vectors=False).eigenvalues
+            eigs = diagonalize(assemble(*generators, dissipator=beta), vectors=False).eigenvalues
         labels = ["steady" if abs(v) < 1e-8 else _EMPTY for v in eigs]
         return {
             "rows": _eigen_rows(rz.cfg.seed, beta, eigs, labels, None, None, rz.cfg.sites),
@@ -521,7 +523,7 @@ def _csr_worker(rz: Realization, map_couplings: Callable) -> dict:
     l_u, l_d = rz.generators()
 
     def solve(alpha: float) -> np.ndarray:
-        return ratios(diagonalize(assemble(alpha, l_u, l_d), vectors=False).eigenvalues)
+        return ratios(diagonalize(assemble(l_u, l_d, unitary=alpha), vectors=False).eigenvalues)
 
     return dict(zip(cfg.alphas, map_couplings(solve, cfg.alphas)))
 
@@ -584,51 +586,52 @@ def cmd_csr(cfg: ExperimentConfig) -> int:
 # --- heisenberg -------------------------------------------------------------
 
 
-def _heisenberg_worker(rz: Realization, map_couplings: Callable) -> dict:
+def _heisenberg_worker(refs: list[tuple[str, np.ndarray]], rz: Realization,
+                       map_couplings: Callable) -> dict:
     cfg, basis = rz.cfg, rz.basis
     alphas = sorted(cfg.alphas)
     probe = random_weight_operator(basis, 2, rz.stream(STREAM_ANALYSIS))
     l_u, l_d = rz.generators()
 
-    def solve(alpha: float) -> tuple[Spectrum, list[list]]:
+    def solve(alpha: float) -> tuple:
         # right modes only at the strongest coupling, where persistence is read
-        spectrum = diagonalize(assemble(alpha, l_u, l_d), vectors=alpha == alphas[-1])
-        return spectrum, _labelled_rows(rz, alpha, spectrum, probe)[0]
+        spectrum = diagonalize(assemble(l_u, l_d, unitary=alpha), vectors=alpha == alphas[-1])
+        return spectrum, *_labelled_rows(rz, alpha, spectrum, probe)
 
     # the eigenvector solve is the longest task, so it starts first
     order = alphas[-1:] + alphas[:-1]
     solved = dict(zip(order, map_couplings(solve, order)))
-    sweep = [(alpha, solved[alpha][0]) for alpha in alphas]
-    rows = {alpha: solved[alpha][1] for alpha in alphas}
+    centers = [(kk, lambda0(kk, cfg.sites, cfg.k_max)) for kk in range(1, cfg.sites + 1)]
+    # the strongest coupling's profiles, read for its rows already
+    persistence = persistent_modes(
+        [(alpha, solved[alpha][0]) for alpha in alphas], basis, centers, window=cfg.window,
+        weight_threshold=cfg.weight_threshold, reference_operators=refs,
+        profiles=solved[alphas[-1]][3])
+    return {
+        "rows": {alpha: solved[alpha][1] for alpha in alphas},
+        "persistence": _persistence_payload(persistence),
+    }
 
+
+def _heisenberg_structure(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
+    """Reference operators (H and its commutants), commutant dimensions and
+    L_U census, read once: H is the same in every realization."""
+    rz = Realization(cfg, 0)
+    h, basis = rz.h, rz.basis
     h_coeffs = np.zeros(len(basis))
-    for string, coupling in rz.h.coefficients.items():
+    for string, coupling in h.coefficients.items():
         h_coeffs[basis.index_of(string)] = coupling
     refs = [("H", h_coeffs)]
     commutant_dims = {}
     for weight in range(1, cfg.k_max + 1):
-        elements = commutant_basis(rz.h, weight)
+        elements = commutant_basis(h, weight)
         commutant_dims[weight] = int(elements.shape[1])
         sector = basis.sector(weight)
         for i in range(elements.shape[1]):
             emb = np.zeros(len(basis), dtype=complex)
             emb[sector] = elements[:, i]
             refs.append((f"w{weight}_{i}", emb))
-    centers = [(kk, lambda0(kk, cfg.sites, cfg.k_max)) for kk in range(1, cfg.sites + 1)]
-    persistence = persistent_modes(
-        sweep,
-        basis,
-        centers,
-        window=cfg.window,
-        weight_threshold=cfg.weight_threshold,
-        reference_operators=refs,
-    )
-    return {
-        "rows": rows,
-        "commutant_dims": commutant_dims,
-        "persistence": _persistence_payload(persistence),
-        "structure": _structure_payload(l_u, basis),
-    }
+    return refs, commutant_dims, _structure_payload(unitary_pauli_matrix(h, basis), basis)
 
 
 def _persistence_payload(report) -> dict:
@@ -682,18 +685,16 @@ def cmd_heisenberg(cfg: ExperimentConfig) -> int:
     if len(alphas) < 2:
         raise ConfigError("persistence tracking needs at least 2 alpha values")
     out = OutputTracker(cfg.out)
-    models, results = _run_pool(_heisenberg_worker, cfg)
+    refs, commutant_dims, structure = _heisenberg_structure(cfg)
+    models, results = _run_pool(partial(_heisenberg_worker, refs), cfg)
     header = _eigen_header(cfg.sites)
     for r, result in enumerate(results):
         for alpha in alphas:
             stem = f"r{r:03d}_a{_tag(alpha)}"
             out.write_rows(f"eigenvalues_{stem}.csv", header, result["rows"][alpha])
         out.write_json(f"persistence_r{r:03d}.json", result["persistence"])
-    out.write_json(
-        "commutant.json",
-        {"dims_by_weight": results[0]["commutant_dims"]},
-    )
-    out.write_json("unitary_structure.json", results[0]["structure"])
+    out.write_json("commutant.json", {"dims_by_weight": commutant_dims})
+    out.write_json("unitary_structure.json", structure)
     pred_header, pred_rows = _prediction_rows(cfg.sites, cfg.k_max, alphas)
     out.write_rows("predictions.csv", pred_header, pred_rows)
     _write_manifest(out, cfg, "heisenberg", models,
@@ -708,7 +709,7 @@ def _density_worker(rz: Realization, map_couplings: Callable) -> dict:
     l_u, l_d = rz.generators()
 
     def solve(alpha: float) -> np.ndarray:
-        return diagonalize(assemble(alpha, l_u, l_d), vectors=False).eigenvalues
+        return diagonalize(assemble(l_u, l_d, unitary=alpha), vectors=False).eigenvalues
 
     return dict(zip(rz.cfg.alphas, map_couplings(solve, rz.cfg.alphas)))
 
@@ -807,8 +808,11 @@ def _write_manifest(
 ) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     openblas = numpy_openblas()
-    # the count the command ran with: 1 under the pin
-    threads = None if openblas is None else openblas.scipy_openblas_get_num_threads64_()
+    # thread count (1 under the pin), CPU kernel and build: each sets the bits
+    threads, core, config = (None,) * 3 if openblas is None else (
+        openblas.scipy_openblas_get_num_threads64_(),
+        openblas.scipy_openblas_get_corename64_().decode(),
+        openblas.scipy_openblas_get_config64_().decode())
     # read from the installed metadata, so that a run imports no scipy
     # module; imported here, so that importing this module stays as fast
     import importlib.metadata
@@ -826,6 +830,8 @@ def _write_manifest(
                 "name": blas.get("name"),
                 "version": blas.get("version"),
                 "threads": threads,
+                "core": core,
+                "config": config,
             },
         },
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},

@@ -17,16 +17,15 @@ bit formulas of its own.  The jump channels are the weight window
 where L_U is the commutator part, L_D0 comes from the mean diagonal of the
 coupling matrix K and is diagonal with entries lambda0(weight), and L_D1
 carries the fluctuations.  The weak-dissipation form L_U + beta * L_D is
-the same object with the scale moved.
+the same object with the scale moved: :func:`assemble` takes both scales.
 
-L_D and every assembled generator are dense, 4^num_sites on a side, so
-building them is refused above MAX_SUPEROPERATOR_SITES unless explicitly
-overridden.  L_U stays sparse, as numpy coordinate triplets
-(:class:`SparseSuperoperator`): a 2-local H couples only adjacent weight
-sectors, 276 480 entries at 6 sites for an all-to-all H, and each generator
-is one copy of L_D with L_U added into it in place.  L_U over any weight
-window comes from :func:`unitary_pauli_matrix`, which
-:func:`build_unitary_part` calls on the complete basis.  ``pauli_basis_form``
+Every generator is dense, 4^num_sites on a side, so building one is
+refused above MAX_SUPEROPERATOR_SITES unless explicitly overridden.  Its
+parts are not: L_U is sparse (:class:`SparseSuperoperator`, from
+:func:`unitary_pauli_matrix` over any weight window), and L_D a compact
+factor (:class:`DissipatorFactor`, 4.7 MB at 6 sites against 134 MB dense).
+:func:`assemble` writes both, scaled, into the one matrix the eigensolver
+consumes; :func:`build_dissipator` writes a dense L_D.  ``pauli_basis_form``
 and ``real_pauli_form`` carry a column-stacked computational-basis matrix
 into the same real form; nothing in the package calls them, and they remain
 only for the Kronecker test oracle and the benchmark's layer tracer.
@@ -52,10 +51,11 @@ __all__ = [
     "SparseSuperoperator",
     "check_size",
     "jump_operator_set",
+    "DissipatorFactor",
+    "dissipator_factor",
     "build_dissipator",
     "build_unitary_part",
     "assemble",
-    "assemble_weak",
     "lambda0",
     "lambda0_fraction",
     "string_basis_matrix",
@@ -160,7 +160,7 @@ def _validate_coupling(k_matrix: np.ndarray) -> None:
         )
 
 
-# Columns per block of the dissipator scatter; the per-block temporaries are
+# Columns per block of the dissipator write; the per-block temporaries are
 # a few (product strings x block) arrays, about 5 MB at 5 sites.  They set the
 # memory peak while another thread solves, so the block is kept small.
 _BLOCK = 64
@@ -173,28 +173,29 @@ def _check_complete(basis: PauliBasis, num_sites: int) -> None:
         raise ValueError(f"need the complete string basis, got {len(basis)} of {4**num_sites}")
 
 
-def build_dissipator(
-    k: Union[KossakowskiSample, np.ndarray],
-    jumps: PauliBasis,
-    basis: PauliBasis,
-    *,
-    validate: bool = True,
-    allow_large: bool = False,
-) -> Superoperator:
-    """Dissipative generator sum_nm K_nm (L_n . L_m^dag - 1/2 {L_m^dag L_n, .}).
+@dataclass(frozen=True)
+class DissipatorFactor:
+    """L_D in compact form.  With c = n xor m and s(b, m) = +-1 as S_b and
+    S_m commute or anticommute, every pair (n, m) maps S_b onto S_{c xor b}:
 
-    With c = n xor m and s(b, m) = +-1 as S_b and S_m commute or
-    anticommute, every pair (n, m) maps S_b onto S_{c xor b}, so
+        L_D[c xor b, b] = i^e(c, b) (A[c, b] - 1/2 (1 + s(b, c)) B[c]),
+        A[c, b] = sum_m W[c, m] s(b, m),   W[c, m] = K'_{m xor c, m} i^e(m xor c, m),
+        B[c] = sum_{n xor m = c} K'_nm i^e(m, n),   K' = K / 2^l.
 
-        M[c xor b, b] = i^e(c, b) / 2^l * (A[c, b] - 1/2 (1 + s(b, c)) B[c]),
-        A[c, b] = sum_m K_{m xor c, m} i^e(m xor c, m) s(b, m),
-        B[c] = sum_{n xor m = c} K_nm i^e(m, n).
+    Kept: the strings c by basis index, [Re W; Im W] and B (``b_sum``)."""
 
-    A is one (product strings x jumps) @ (jumps x columns) product, taken
-    in column blocks; within a column each c hits its own row.  The real
-    part is kept, and an imaginary residue above 1e-10 (a non-Hermitian K)
-    raises :class:`NumericalError`.
-    """
+    basis: PauliBasis
+    jumps: PauliBasis
+    products: np.ndarray
+    w_stacked: np.ndarray
+    b_sum: np.ndarray
+
+
+def dissipator_factor(k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis,
+                      basis: PauliBasis, *, validate: bool = True,
+                      allow_large: bool = False) -> DissipatorFactor:
+    """Factor of L_D = sum_nm K_nm (L_n . L_m^dag - 1/2 {L_m^dag L_n, .}),
+    with K checked for Hermiticity and positivity unless ``validate`` is false."""
     num_sites = jumps.num_sites
     check_size(num_sites, allow_large)
     _check_complete(basis, num_sites)
@@ -213,27 +214,43 @@ def build_dissipator(
     w[c_of, np.arange(n_jump)] = k_matrix * PHASES[exponent]
     b_sum = np.zeros(products.size, dtype=complex)
     np.add.at(b_sum, c_of, k_matrix * PHASES[exponent.T])
-    w_stacked = np.concatenate([w.real, w.imag])
-    cx, cz = basis.x_array[products, None], basis.z_array[products, None]
+    return DissipatorFactor(basis, jumps, products, np.concatenate([w.real, w.imag]), b_sum)
 
-    n = len(basis)
-    # Fortran order, so that each generator copies it column by column
-    out = np.zeros((n, n), order="F")
+
+def _write_dissipator(factor: DissipatorFactor, scale: float, out: np.ndarray) -> None:
+    """Write scale * L_D into the entries of ``out`` it fills, one block of
+    columns at a time: A is one product, and each c hits its own row of a
+    column.  An imaginary residue above 1e-10 (a non-Hermitian K) raises
+    :class:`NumericalError`."""
+    basis, jx, jz = factor.basis, factor.jumps.x_array[:, None], factor.jumps.z_array[:, None]
+    m = factor.products.size
+    cx, cz = basis.x_array[factor.products, None], basis.z_array[factor.products, None]
     residue = 0.0
-    for lo in range(0, n, _BLOCK):
-        cols = np.arange(lo, min(lo + _BLOCK, n))
+    for lo in range(0, len(basis), _BLOCK):
+        cols = np.arange(lo, min(lo + _BLOCK, len(basis)))
         bx, bz = basis.x_array[cols], basis.z_array[cols]
-        signs = 1.0 - 2.0 * anticommutes(jx[:, None], jz[:, None], bx, bz)
-        a = w_stacked @ signs
-        a = a[: products.size] + 1j * a[products.size :]
-        commuting = anticommutes(cx, cz, bx, bz) == 0
-        a -= np.where(commuting, b_sum[:, None], 0.0)
-        a *= PHASES[product_exponent(cx, cz, bx, bz)]
+        signs = 1.0 - 2.0 * anticommutes(jx, jz, bx, bz)
+        a = factor.w_stacked @ signs
+        a = a[:m] + 1j * a[m:]
+        exponent = product_exponent(cx, cz, bx, bz)
+        # S_c and S_b commute exactly where i^e is real
+        a -= np.where(exponent % 2 == 0, factor.b_sum[:, None], 0.0)
+        a *= PHASES[exponent]
         residue = max(residue, float(np.abs(a.imag).max()))
-        out[basis.lookup(cx ^ bx, cz ^ bz), cols] = a.real
+        out[basis.lookup(cx ^ bx, cz ^ bz), cols] = scale * a.real
     if residue > 1e-10:
         raise NumericalError(f"imaginary residue {residue:.3e} exceeds 1e-10")
-    return Superoperator(num_sites, out)
+
+
+def build_dissipator(k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis,
+                     basis: PauliBasis, *, validate: bool = True,
+                     allow_large: bool = False) -> Superoperator:
+    """Dense L_D: :func:`dissipator_factor` written into a zeroed matrix in
+    Fortran order."""
+    factor = dissipator_factor(k, jumps, basis, validate=validate, allow_large=allow_large)
+    out = np.zeros((len(basis), len(basis)), order="F")
+    _write_dissipator(factor, 1.0, out)
+    return Superoperator(basis.num_sites, out)
 
 
 def build_unitary_part(
@@ -243,41 +260,31 @@ def build_unitary_part(
     allow_large: bool = False,
 ) -> SparseSuperoperator:
     """Commutator generator -i[H, .] over the complete basis, the L_U that
-    :func:`assemble` and :func:`assemble_weak` add into L_D; see
+    :func:`assemble` adds into each generator; see
     :func:`unitary_pauli_matrix` for a weight window."""
     check_size(h.num_sites, allow_large)
     _check_complete(basis, h.num_sites)
     return unitary_pauli_matrix(h, basis)
 
 
-def _check_parts(unitary: SparseSuperoperator, dissipator: Superoperator) -> None:
-    if unitary.num_sites != dissipator.num_sites or unitary.dim != dissipator.dim:
+def assemble(l_u: SparseSuperoperator, l_d: DissipatorFactor, *,
+             unitary: float = 1.0, dissipator: float = 1.0) -> Superoperator:
+    """unitary * L_U + dissipator * L_D, written into one matrix laid out
+    for an in-place solve (:func:`klindblad.openblas.solver_matrix`), with
+    the bits of L_U added into dissipator * (dense L_D): even the empty
+    entries hold a zero scaled as a zero of L_D would be."""
+    if l_u.num_sites != l_d.basis.num_sites or l_u.dim != len(l_d.basis):
         raise ValueError("parts disagree on num_sites or basis size")
+    matrix = solver_matrix(l_u.dim)
+    matrix.fill(dissipator * 0.0)
+    _write_dissipator(l_d, dissipator, matrix)
+    matrix[l_u.rows, l_u.cols] += unitary * l_u.values
+    return Superoperator(l_u.num_sites, matrix)
 
 
-def assemble(
-    alpha: float, unitary: SparseSuperoperator, dissipator: Superoperator
-) -> Superoperator:
-    """Strong-dissipation form alpha * L_U + L_D: a copy of L_D with
-    alpha * L_U added into it, laid out for an in-place solve
-    (:func:`klindblad.openblas.solver_matrix`)."""
-    _check_parts(unitary, dissipator)
-    matrix = solver_matrix(dissipator.dim)
-    matrix[...] = dissipator.matrix
-    matrix[unitary.rows, unitary.cols] += alpha * unitary.values
-    return Superoperator(unitary.num_sites, matrix)
-
-
-def assemble_weak(
-    beta: float, unitary: SparseSuperoperator, dissipator: Superoperator
-) -> Superoperator:
-    """Weak-dissipation form L_U + beta * L_D: beta * L_D with L_U added
-    into it, laid out for an in-place solve
-    (:func:`klindblad.openblas.solver_matrix`)."""
-    _check_parts(unitary, dissipator)
-    matrix = np.multiply(beta, dissipator.matrix, out=solver_matrix(dissipator.dim))
-    matrix[unitary.rows, unitary.cols] += unitary.values
-    return Superoperator(unitary.num_sites, matrix)
+def assemble_weak(beta: float, l_u: SparseSuperoperator, l_d: DissipatorFactor) -> Superoperator:
+    """``assemble(l_u, l_d, dissipator=beta)``, a name the benchmark's layer tracer wraps."""
+    return assemble(l_u, l_d, dissipator=beta)
 
 
 def lambda0_fraction(k: int, num_sites: int, k_max: int = 2) -> Fraction:
@@ -378,5 +385,6 @@ def unitary_pauli_matrix(h: HamiltonianSpec, basis: PauliBasis) -> SparseSuperop
         rows.append(row)
         cols.append(b)
         vals.append(np.where(plus, 2.0 * coupling, -2.0 * coupling))
-    return SparseSuperoperator(h.num_sites, len(basis), np.concatenate(rows),
-                               np.concatenate(cols), np.concatenate(vals))
+    # int32 indices: a third less memory, and 4^l < 2^31 to 15 sites
+    return SparseSuperoperator(h.num_sites, len(basis), np.concatenate(rows, dtype=np.int32),
+                               np.concatenate(cols, dtype=np.int32), np.concatenate(vals))

@@ -29,9 +29,9 @@ PAD_ROWS = 8
 
 @functools.cache
 def numpy_openblas():
-    """numpy's OpenBLAS as a ``ctypes.CDLL`` with its thread getter and
-    setter bound, and ``scipy_dgeev_64_`` too where the library exports it;
-    None if the library is not found."""
+    """numpy's OpenBLAS as a ``ctypes.CDLL`` with its thread, kernel and build
+    string getters and thread setter bound, and ``scipy_dgeev_64_`` too
+    where the library exports it; None if the library is not found."""
     import ctypes
 
     numpy_libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -40,10 +40,13 @@ def numpy_openblas():
             lib = ctypes.CDLL(str(path))
             setter = lib.scipy_openblas_set_num_threads64_
             getter = lib.scipy_openblas_get_num_threads64_
+            names = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_config64_
         except (OSError, AttributeError):
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], None
         getter.argtypes, getter.restype = [], ctypes.c_int
+        for name in names:
+            name.argtypes, name.restype = [], ctypes.c_char_p
         try:
             geev = lib.scipy_dgeev_64_
         except AttributeError:

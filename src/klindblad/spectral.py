@@ -683,6 +683,7 @@ def persistent_modes(
     window: float = 0.05,
     weight_threshold: float = 0.8,
     reference_operators: Optional[Sequence[tuple[str, np.ndarray]]] = None,
+    profiles: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> PersistenceReport:
     """Find eigenvalues that stay pinned to unperturbed centers as the
     coupling grows.
@@ -697,6 +698,7 @@ def persistent_modes(
     Each persistent mode is scored against the reference operators, given as
     coefficient vectors over ``basis``, by |<op|mode>| with both sides
     unit-normalized, and by the norm of its projection on their span.
+    ``profiles``: the largest coupling's :func:`weight_profiles`, if read.
     """
     if len(sweep) < 2:
         raise ValueError("persistence needs at least 2 sweep points")
@@ -722,7 +724,7 @@ def persistent_modes(
             raise SpectralAnalysisError("zero reference operator")
         stacked /= ref_norms
 
-    profiles, norms = weight_profiles(final.right_modes, basis)
+    profiles, norms = profiles or weight_profiles(final.right_modes, basis)
     groups = []
     for label, center in _merge_centers(centers):
         weights_in_label = {int(w) for w in label.split(",")}

@@ -31,9 +31,9 @@ from klindblad.ensemble import (
 from klindblad.liouvillian import (
     Superoperator,
     assemble,
-    assemble_weak,
     build_dissipator,
     build_unitary_part,
+    dissipator_factor,
     jump_operator_set,
     lambda0,
     unitary_pauli_matrix,
@@ -160,9 +160,9 @@ def test_a04_cptp_spectral_invariants():
     for r in range(100):
         k = sample_kossakowski(num_sites, 2, rng=substream(seed, r, STREAM_KOSSAKOWSKI))
         h = sample_random_hamiltonian(num_sites, rng=substream(seed, r, STREAM_HAMILTONIAN))
-        l_u, l_d = build_unitary_part(h, basis), build_dissipator(k, jumps, basis)
+        l_u, l_d = build_unitary_part(h, basis), dissipator_factor(k, jumps, basis)
         for alpha in (0.0, 0.15, 1.5):
-            spectrum = diagonalize(assemble(alpha, l_u, l_d))
+            spectrum = diagonalize(assemble(l_u, l_d, unitary=alpha))
             report = cptp_checks(spectrum)
             assert report.max_re < 1e-8
             assert report.zero_mode_present
@@ -189,13 +189,13 @@ def l6_sweep():
     basis = PauliBasis(6)
 
     def solve(alpha):
-        eigs = eigenvalues(assemble(alpha, l_u, l_d))
+        eigs = eigenvalues(assemble(l_u, l_d, unitary=alpha))
         return alpha, (eigs, cluster_by_centers(eigs, predicted_centers(6, alpha)))
 
     k = sample_kossakowski(6, 2, seed=21)
     h = sample_random_hamiltonian(6, seed=32)
     l_u = build_unitary_part(h, basis)
-    l_d = build_dissipator(k, jump_operator_set(6, 2), basis)
+    l_d = dissipator_factor(k, jump_operator_set(6, 2), basis)
     with ThreadPoolExecutor(max_workers=2) as pool:
         return dict(pool.map(solve, (0.0, 0.02, 0.04, 0.06, 0.08, 0.10)))
 
@@ -261,14 +261,14 @@ def test_a06_center_drift_without_coupling_fluctuations():
     jumps = jump_operator_set(num_sites, 2)
     n_jumps = 3 * num_sites + 9 * num_sites * (num_sites - 1) // 2
     k_mean = np.eye(n_jumps) * (2.0**num_sites / n_jumps)
-    l_d = build_dissipator(k_mean, jumps, basis)
+    l_d = dissipator_factor(k_mean, jumps, basis)
     h = sample_random_hamiltonian(
         num_sites, rng=substream(21, 0, STREAM_HAMILTONIAN), exact_norm=True
     )
     l_u = build_unitary_part(h, basis)
     shifts = []
     for alpha in ALPHA_GRID:
-        eigs = eigenvalues(assemble(alpha, l_u, l_d))
+        eigs = eigenvalues(assemble(l_u, l_d, unitary=alpha))
         report = cluster_by_centers(eigs, predicted_centers(num_sites, alpha))
         cluster = next(c for c in report.clusters if c.label == "1")
         shifts.append(cluster.center.real - lambda0(1, num_sites))
@@ -349,9 +349,9 @@ def test_a08_unitary_spread_and_weak_dissipation_trace():
     k = sample_kossakowski(num_sites, 2, rng=substream(seed, 0, STREAM_KOSSAKOWSKI))
     h = sample_random_hamiltonian(num_sites, rng=substream(seed, 0, STREAM_HAMILTONIAN))
     l_u = build_unitary_part(h, basis)
-    l_d = build_dissipator(k, jump_operator_set(num_sites, 2), basis)
+    l_d = dissipator_factor(k, jump_operator_set(num_sites, 2), basis)
     for beta in (0.01, 0.03, 0.05):
-        eigs = eigenvalues(assemble_weak(beta, l_u, l_d))
+        eigs = eigenvalues(assemble(l_u, l_d, dissipator=beta))
         assert abs(eigs.real.mean() + beta) < 0.02 * beta
 
 
@@ -373,12 +373,12 @@ def csr_pools():
     def ratios_of(r):
         k = sample_kossakowski(num_sites, 2, rng=substream(seed, r, STREAM_KOSSAKOWSKI))
         h = sample_random_hamiltonian(num_sites, rng=substream(seed, r, STREAM_HAMILTONIAN))
-        l_u, l_d = build_unitary_part(h, basis), build_dissipator(k, jumps, basis)
+        l_u, l_d = build_unitary_part(h, basis), dissipator_factor(k, jumps, basis)
         # differences of the distinct levels: at 5 sites every level of H
         # is a Kramers pair
         ratios = {"unitary": complex_spacing_ratios(unitary_eigenvalues(h, distinct=True)).ratios}
         for alpha in CSR_ALPHAS:
-            eigs = eigenvalues(assemble(alpha, l_u, l_d))
+            eigs = eigenvalues(assemble(l_u, l_d, unitary=alpha))
             ratios[alpha] = complex_spacing_ratios(eigs).ratios
         return ratios
 
@@ -528,9 +528,9 @@ def density_pools():
     for r in range(100):
         k = sample_kossakowski(num_sites, 2, rng=substream(seed, r, STREAM_KOSSAKOWSKI))
         h = sample_random_hamiltonian(num_sites, rng=substream(seed, r, STREAM_HAMILTONIAN))
-        l_u, l_d = build_unitary_part(h, basis), build_dissipator(k, jumps, basis)
+        l_u, l_d = build_unitary_part(h, basis), dissipator_factor(k, jumps, basis)
         for alpha in alphas:
-            pools[alpha].append(eigenvalues(assemble(alpha, l_u, l_d)))
+            pools[alpha].append(eigenvalues(assemble(l_u, l_d, unitary=alpha)))
     return pools
 
 

@@ -2,12 +2,15 @@
 and the byte-level reproducibility contract."""
 
 import csv
+import ctypes
 import hashlib
 import importlib.metadata
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 import klindblad.cli as cli
 from klindblad.cli import main
 from klindblad.errors import NumericalError
-from klindblad.liouvillian import lambda0, unitary_pauli_matrix
+from klindblad.liouvillian import assemble, lambda0, unitary_pauli_matrix
 from klindblad import openblas
 from klindblad.spectral import commutant_basis
 from klindblad.ensemble import HamiltonianSpec, heisenberg_hamiltonian, sample_random_hamiltonian
@@ -62,8 +65,20 @@ def test_manifest_records_numeric_environment(tmp_path, monkeypatch):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     # the run pins numpy's OpenBLAS to one thread, where it finds that library
     pinned = None if openblas.numpy_openblas() is None else 1
+    # the kernel OpenBLAS picked for this CPU and its build string, read
+    # from the library as the thread count is
+    lib = openblas.numpy_openblas()
+    strings = [None, None]
+    if lib is not None:
+        for i, name in enumerate(("scipy_openblas_get_corename64_",
+                                  "scipy_openblas_get_config64_")):
+            getter = getattr(lib, name)
+            getter.restype = ctypes.c_char_p
+            strings[i] = getter().decode()
+        assert strings[0] and strings[0] in strings[1]
     assert manifest["libraries"]["blas"] == {
-        "name": blas["name"], "version": blas["version"], "threads": pinned}
+        "name": blas["name"], "version": blas["version"], "threads": pinned,
+        "core": strings[0], "config": strings[1]}
     # looked up without importing scipy, with its own version string
     import scipy
     assert manifest["libraries"]["scipy"] == scipy.__version__
@@ -71,6 +86,15 @@ def test_manifest_records_numeric_environment(tmp_path, monkeypatch):
     assert threads["OMP_NUM_THREADS"] == "3"
     assert threads["MKL_NUM_THREADS"] is None
     assert threads["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+def test_manifest_without_numpy_openblas_records_null(tmp_path, monkeypatch):
+    monkeypatch.setattr(openblas, "numpy_openblas", lambda: None)
+    monkeypatch.setattr(cli, "numpy_openblas", lambda: None)
+    out = tmp_path / "run"
+    assert run("spectrum", "--sites", 2, "--seed", 11, "--alpha", "0", "--out", out) == 0
+    blas = manifest_of(out)["libraries"]["blas"]
+    assert blas["threads"] is blas["core"] is blas["config"] is None
 
 
 def test_manifest_without_scipy_records_null(tmp_path, monkeypatch):
@@ -259,7 +283,7 @@ def test_sweep_beta_zero_comes_from_the_levels_of_h(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("beta = 0 built or solved a superoperator")
 
-    for name in ("build_unitary_part", "build_dissipator", "diagonalize"):
+    for name in ("build_unitary_part", "dissipator_factor", "diagonalize"):
         monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "run"
     assert run("sweep-beta", "--sites", 4, "--seed", 3, "--beta", 0, "--exact-h-norm",
@@ -306,7 +330,7 @@ def test_csr_unitary_only_uses_line_reference(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a unitary-only run built a superoperator")
 
-    for name in ("jump_operator_set", "build_dissipator", "build_unitary_part"):
+    for name in ("jump_operator_set", "dissipator_factor", "build_unitary_part"):
         monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "run"
     assert run("csr", "--sites", 4, "--seed", 17, "--unitary-only",
@@ -565,11 +589,52 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
                    "--out", tmp_path / f"pool{realizations}") == 4
 
 
+def test_non_hermitian_coupling_exits_4(tmp_path, monkeypatch, capsys):
+    # a K built without validation reaches the generator writer, which
+    # refuses the imaginary residue of a non-Hermitian K
+    sample = cli.sample_kossakowski
+
+    def skewed(*args, **kwargs):
+        k = sample(*args, **kwargs)
+        k.k_matrix[0, 1] += 0.5
+        return k
+
+    monkeypatch.setattr(cli, "sample_kossakowski", skewed)
+    monkeypatch.setattr(cli, "dissipator_factor", partial(cli.dissipator_factor, validate=False))
+    for command, coupling in (("spectrum", "--alpha"), ("sweep-beta", "--beta")):
+        assert run(command, "--sites", 2, "--seed", 1, coupling, "0.1",
+                   "--out", tmp_path / command) == 4
+        assert "imaginary residue" in capsys.readouterr().err
+
+
+def test_realization_holds_no_dense_matrix():
+    # at 5 sites a realization's parts, the sparse L_U and the factor of
+    # L_D, take under a quarter of one n x n matrix; a generator call
+    # allocates its one solver matrix plus one column block's temporaries
+    cfg = cli.ExperimentConfig(sites=5, seed=1, out="unused", alphas=(0.1,))
+    rz = cli.Realization(cfg, 0)
+    rz.k, rz.basis  # drawn and listed before the count starts
+    matrix_bytes = 8 * 4**10
+    tracemalloc.start()
+    try:
+        parts = rz.generators()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        generator = assemble(*parts, unitary=0.1)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < matrix_bytes / 4
+    solver_bytes = generator.matrix.base.nbytes
+    assert solver_bytes <= after - held < solver_bytes + 2**16
+    assert peak - held < solver_bytes + matrix_bytes / 2
+
+
 def test_failed_solve_exit_code(tmp_path, monkeypatch, capsys):
     assemble = cli.assemble
 
-    def poisoned(*args):
-        generator = assemble(*args)
+    def poisoned(*args, **kwargs):
+        generator = assemble(*args, **kwargs)
         generator.matrix[1, 1] = np.nan
         return generator
 

@@ -26,9 +26,9 @@ from klindblad.errors import NonPositiveKossakowskiError, NumericalError, Resour
 from klindblad.liouvillian import (
     Superoperator,
     assemble,
-    assemble_weak,
     build_dissipator,
     build_unitary_part,
+    dissipator_factor,
     jump_operator_set,
     lambda0,
     lambda0_fraction,
@@ -124,12 +124,20 @@ def test_coupling_validation():
         build_dissipator(not_hermitian, jumps, basis)
     with pytest.raises(ValueError):
         build_dissipator(np.eye(4), jumps, basis)
+    with pytest.raises(ValueError):
+        dissipator_factor(not_hermitian, jumps, basis)
     # validation can be bypassed for constructed splits
     build_dissipator(bad_psd, jumps, basis, validate=False)
     # but a non-Hermitian K gives a generator that does not preserve
-    # Hermiticity, whose string-basis elements are not real
+    # Hermiticity, whose string-basis elements are not real; the factor
+    # route finds that when it writes a generator
     with pytest.raises(NumericalError):
         build_dissipator(not_hermitian, jumps, basis, validate=False)
+    factor = dissipator_factor(not_hermitian, jumps, basis, validate=False)
+    lu = build_unitary_part(sample_random_hamiltonian(2, seed=1), basis)
+    for scales in ({"unitary": 0.5}, {"dissipator": 0.5}):
+        with pytest.raises(NumericalError):
+            assemble(lu, factor, **scales)
 
 
 def test_builders_need_the_complete_basis():
@@ -205,59 +213,83 @@ def test_assemble_linear_combinations():
     k = sample_kossakowski(2, 2, seed=8)
     h = sample_random_hamiltonian(2, seed=9)
     basis = PauliBasis(2)
-    ld = build_dissipator(k, jump_operator_set(2, 2), basis)
+    ld = dissipator_factor(k, jump_operator_set(2, 2), basis)
+    dense_ld = build_dissipator(k, jump_operator_set(2, 2), basis)
     lu = build_unitary_part(h, basis)
     dense_lu = lu.toarray()
 
-    zero_alpha = assemble(0.0, lu, ld)
-    assert np.array_equal(zero_alpha.matrix, ld.matrix)
+    zero_alpha = assemble(lu, ld, unitary=0.0)
+    assert np.array_equal(zero_alpha.matrix, dense_ld.matrix)
 
-    one = assemble(1.0, lu, ld)
-    assert np.abs(one.matrix - (dense_lu + ld.matrix)).max() == 0.0
+    one = assemble(lu, ld)
+    assert np.abs(one.matrix - (dense_lu + dense_ld.matrix)).max() == 0.0
 
-    weak = assemble_weak(0.0, lu, ld)
+    weak = assemble(lu, ld, dissipator=0.0)
     assert np.array_equal(weak.matrix, dense_lu)
 
-    got = assemble_weak(0.25, lu, ld).matrix
-    assert np.abs(got - (dense_lu + 0.25 * ld.matrix)).max() == 0.0
-    # the parts are left as they were
-    assert np.array_equal(ld.matrix, build_dissipator(k, jump_operator_set(2, 2), basis).matrix)
-    # L_D is in Fortran order, and every generator in the padded layout
-    # LAPACK solves in place
-    assert ld.matrix.flags.f_contiguous
+    got = assemble(lu, ld, dissipator=0.25).matrix
+    assert np.abs(got - (dense_lu + 0.25 * dense_ld.matrix)).max() == 0.0
+    # the dense L_D is in Fortran order, and every generator in the padded
+    # layout LAPACK solves in place
+    assert dense_ld.matrix.flags.f_contiguous
     for m in (zero_alpha.matrix, one.matrix, weak.matrix, got):
         assert m.strides == (8, 8 * (16 + openblas.PAD_ROWS))
 
 
 @pytest.mark.parametrize("num_sites", [2, 3, 4, 5])
 def test_sparse_assembly_equals_the_dense_route(num_sites):
-    # scattering alpha * L_U into a copy of L_D gives the bits of the dense
-    # sum alpha * L_U + L_D, and likewise for the weak form
+    # writing alpha * L_U and L_D from its factor gives the bits of the
+    # dense sum alpha * L_U + L_D, and likewise for the weak form
     basis = PauliBasis(num_sites)
     k = sample_kossakowski(num_sites, 2, seed=70 + num_sites)
     h = sample_random_hamiltonian(num_sites, seed=80 + num_sites)
     lu = build_unitary_part(h, basis)
-    ld = build_dissipator(k, jump_operator_set(num_sites, 2), basis)
+    jumps = jump_operator_set(num_sites, 2)
+    ld, factor = build_dissipator(k, jumps, basis), dissipator_factor(k, jumps, basis)
     dense_lu = Superoperator(num_sites, lu.toarray())
     want_lu = oracle.real_pauli(oracle.build_unitary_part(h), basis)
     assert np.abs(dense_lu.matrix - want_lu).max() < 1e-13
     assert lu.values.size == np.count_nonzero(dense_lu.matrix)
     for alpha in (0.0, 0.05, 0.7, 1.5):
         want = oracle.assemble(alpha, dense_lu, ld).matrix
-        assert np.array_equal(assemble(alpha, lu, ld).matrix, want)
-        weak = assemble_weak(alpha, lu, ld).matrix
+        assert np.array_equal(assemble(lu, factor, unitary=alpha).matrix, want)
+        weak = assemble(lu, factor, dissipator=alpha).matrix
         assert np.array_equal(weak, oracle.assemble(alpha, ld, dense_lu).matrix)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("num_sites", [2, 3, 4, 5, 6])
+def test_factor_route_keeps_the_bits_of_the_dense_route(num_sites):
+    # a generator written from the factor equals, signed zeros included, a
+    # copy of the dense L_D (or beta times it) with L_U added at its entries
+    basis = PauliBasis(num_sites)
+    k = sample_kossakowski(num_sites, 2, seed=90 + num_sites)
+    lu = build_unitary_part(sample_random_hamiltonian(num_sites, seed=95 + num_sites), basis)
+    jumps = jump_operator_set(num_sites, 2)
+    factor = dissipator_factor(k, jumps, basis)
+    dense = build_dissipator(k, jumps, basis).matrix
+    for alpha in (0.0, 0.1, -0.3):
+        want = dense.copy()
+        want[lu.rows, lu.cols] += alpha * lu.values
+        assert _same_bits(assemble(lu, factor, unitary=alpha).matrix, want)
+    for beta in (0.05, -0.2):
+        want = np.multiply(beta, dense)
+        want[lu.rows, lu.cols] += lu.values
+        assert _same_bits(assemble(lu, factor, dissipator=beta).matrix, want)
 
 
 def test_assemble_rejects_mismatched_parts():
     k = sample_kossakowski(2, 2, seed=8)
     h = sample_random_hamiltonian(3, seed=9)
-    ld = build_dissipator(k, jump_operator_set(2, 2), PauliBasis(2))
+    ld = dissipator_factor(k, jump_operator_set(2, 2), PauliBasis(2))
     lu = build_unitary_part(h, PauliBasis(3))
     with pytest.raises(ValueError):
-        assemble(1.0, lu, ld)  # 3 sites against 2
+        assemble(lu, ld, unitary=1.0)  # 3 sites against 2
     with pytest.raises(ValueError):
-        assemble_weak(1.0, lu, ld)
+        assemble(lu, ld, dissipator=1.0)
 
 
 # ---------------------------------------------------------------- closed form
@@ -313,9 +345,8 @@ def test_full_spectrum_closed_under_conjugation():
     k = sample_kossakowski(3, 2, seed=12)
     h = sample_random_hamiltonian(3, seed=13)
     basis = PauliBasis(3)
-    full = assemble(
-        0.5, build_unitary_part(h, basis), build_dissipator(k, jump_operator_set(3, 2), basis)
-    )
+    full = assemble(build_unitary_part(h, basis),
+                    dissipator_factor(k, jump_operator_set(3, 2), basis), unitary=0.5)
     eigs = np.linalg.eigvals(full.matrix)
     assert pairing_distance(eigs, eigs.conj()) < 1e-8
 

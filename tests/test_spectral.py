@@ -21,6 +21,7 @@ from klindblad.liouvillian import (
     assemble,
     build_dissipator,
     build_unitary_part,
+    dissipator_factor,
     jump_operator_set,
     lambda0,
     unitary_pauli_matrix,
@@ -62,7 +63,8 @@ def full_liouvillian(num_sites, alpha, k_seed=21, h_seed=32, basis_form="pauli")
         return oracle.assemble(alpha, oracle.build_unitary_part(h),
                                oracle.build_dissipator(k, jumps))
     basis = PauliBasis(num_sites)
-    return assemble(alpha, build_unitary_part(h, basis), build_dissipator(k, jumps, basis))
+    return assemble(build_unitary_part(h, basis), dissipator_factor(k, jumps, basis),
+                    unitary=alpha)
 
 
 # --- eigendecomposition -----------------------------------------------------
@@ -656,6 +658,12 @@ def test_persistence_weight_threshold_excludes_mixed_modes():
     (group,) = report.groups
     assert group.counts == (2, 2)
     assert group.persistent_count == 1  # the weight-2 intruder fails the profile cut
+    # profiles the caller has read already give the same report
+    read = weight_profiles(sweep[-1][1].right_modes, basis)
+    (again,) = persistent_modes(sweep, basis, [(1, -0.5)], profiles=read).groups
+    assert again.counts == group.counts
+    assert [(m.index, m.profile.tolist()) for m in again.modes] == [
+        (m.index, m.profile.tolist()) for m in group.modes]
 
 
 def test_persistence_flags_degenerate_sweep():
