@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -56,25 +56,23 @@ from .ensemble import (
     hamiltonian_to_json_dict,
     heisenberg_hamiltonian,
     kossakowski_dimension,
-    kossakowski_to_json_dict,
+    kossakowski_json_chunks,
     sample_kossakowski,
     sample_random_hamiltonian,
     substream,
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError, SpectralAnalysisError
 from .liouvillian import (
-    MAX_SUPEROPERATOR_SITES,
     DissipatorFactor,
     SparseSuperoperator,
     assemble,
     build_unitary_part,
-    check_size,
     dissipator_factor,
     jump_operator_set,
     lambda0,
     unitary_pauli_matrix,
 )
-from .openblas import numpy_openblas, one_blas_thread
+from .openblas import environment, one_blas_thread
 from .pauli import PauliBasis
 from .perturbation import predict
 from .spectral import (
@@ -98,10 +96,13 @@ from .spectral import (
 
 MIN_SITES = 2
 
-# Every run samples and digests K, an n x n Haar matrix over the n jump
-# channels, superoperator or not.  Without --allow-large n stays within what
-# the site guardrail admits: 4^6 - 1 = 4095 at 6 sites and k_max = 6, 268 MB.
-MAX_CHANNELS = 4**MAX_SUPEROPERATOR_SITES - 1
+# Without --allow-large a run that builds a generator, 4^l on a side, has at
+# most 6 sites.  Every run samples and digests K, an n x n Haar matrix over
+# the n jump channels, superoperator or not, so n is capped at what 6 sites
+# admit: 4^6 - 1 = 4095 at k_max = 6, where K takes 268 MB and its digest,
+# hashed 64 rows at a time, about 110 MB more (27 MB at 1023 channels).
+MAX_SITES = 6
+MAX_CHANNELS = 4**MAX_SITES - 1
 
 
 # What a value of each field type must be, since a config file may hold any
@@ -223,27 +224,29 @@ class OutputTracker:
         self.write_text(name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+def _digest(chunks: Iterable[str]) -> str:
+    sha = hashlib.sha256()
+    for chunk in chunks:
+        sha.update(chunk.encode())
+    return sha.hexdigest()
 
 
 class Realization:
-    """One realization's seeded model and the generator parts built from it.
+    """One realization's seeded model and the spectra of its generators.
 
     K and H come from the realization's own substreams, so they do not
     depend on the coupling list or on the order they are drawn in.  K and
-    the complete string basis are built once, on first use.  An analyzer
-    calls ``generators`` once, before it spreads its couplings over threads.
-    L_U is kept sparse and L_D as its compact factor, so a realization
-    holds no n x n matrix; each coupling writes both parts, scaled, into
-    the one matrix it solves (see ``assemble``).  The spectrum of L_U alone
-    comes from the levels of H, so a unitary-only or beta = 0 run builds
-    neither the basis nor L_U and L_D.
+    the complete string basis are built once, on first use; the site
+    guardrail refuses the basis.  L_U is kept sparse and L_D as its compact
+    factor, so a realization holds no n x n matrix; each coupling writes
+    both, scaled, into the one matrix it solves (see ``assemble``).  The
+    spectrum of L_U alone comes from the levels of H, so a unitary-only or
+    beta = 0 run builds neither the basis nor L_U and L_D.  ``map`` spreads
+    the couplings of ``spectra``, the one solve loop.
     """
 
-    def __init__(self, cfg: ExperimentConfig, index: int):
-        self.cfg = cfg
-        self.index = index
+    def __init__(self, cfg: ExperimentConfig, index: int, map: Callable = map):
+        self.cfg, self.index, self.map = cfg, index, map
         if cfg.hamiltonian == HEISENBERG_PBC:
             self.h = heisenberg_hamiltonian(cfg.sites)
         else:
@@ -263,24 +266,47 @@ class Realization:
     def basis(self) -> PauliBasis:
         # only superoperator runs use the complete basis; refuse them here,
         # before its 4^l strings are listed
-        check_size(self.cfg.sites, self.cfg.allow_large)
-        return PauliBasis(self.cfg.sites)
+        sites = self.cfg.sites
+        if sites > MAX_SITES and not self.cfg.allow_large:
+            raise ResourceLimitError(
+                f"dense superoperator at {sites} sites needs a {4**sites}x{4**sites} "
+                f"matrix; pass allow_large=True (--allow-large) to force")
+        return PauliBasis(sites)
 
     def generators(self) -> tuple[SparseSuperoperator, DissipatorFactor]:
-        """(sparse L_U, factor of L_D), built anew on each call.  Analyzers
-        call it once, before they spread the couplings over threads, so that
-        K and the basis are cached by then: ``cached_property`` holds no
-        lock from Python 3.12 on."""
-        allow_large = self.cfg.allow_large
-        l_u = build_unitary_part(self.h, self.basis, allow_large=allow_large)
+        """(sparse L_U, factor of L_D), built anew on each call; the basis,
+        and with it the site guardrail, comes before the jump window's 4^l
+        index table."""
+        l_u = build_unitary_part(self.h, self.basis)
         jumps = jump_operator_set(self.cfg.sites, self.cfg.k_max)
-        return l_u, dissipator_factor(self.k, jumps, self.basis, allow_large=allow_large)
+        return l_u, dissipator_factor(self.k, jumps, self.basis)
+
+    def spectra(self, read: Callable, vectors: Sequence[float] = ()) -> dict:
+        """``{coupling: read(coupling, spectrum)}`` of alpha * L_U + L_D over
+        the alpha list, else of L_U + beta * L_D over the beta list (beta = 0
+        from the levels of H).  The couplings in ``vectors`` keep their right
+        modes and, the longest solves, go first.  The parts are built before
+        ``map`` spreads the couplings, so K and the basis are cached by then:
+        ``cached_property`` holds no lock from Python 3.12 on."""
+        weak = self.cfg.alphas is None
+        couplings = self.cfg.betas if weak else self.cfg.alphas
+        parts = self.generators() if not weak or any(couplings) else None
+
+        def solve(coupling: float):
+            if weak and coupling == 0:
+                return read(coupling, Spectrum(self.cfg.sites, unitary_eigenvalues(self.h)))
+            # unnamed, the generator is freed as the solve returns, before ``read``
+            scale = {"dissipator" if weak else "unitary": coupling}
+            spectrum = diagonalize(assemble(*parts, **scale), vectors=coupling in vectors)
+            return read(coupling, spectrum)
+
+        order = sorted(couplings, key=lambda c: c not in vectors)
+        return dict(zip(order, self.map(solve, order)))
 
     def digests(self) -> dict:
-        return {
-            "kossakowski_sha256": _digest(kossakowski_to_json_dict(self.k)),
-            "hamiltonian_sha256": _digest(hamiltonian_to_json_dict(self.h)),
-        }
+        h_record = json.dumps(hamiltonian_to_json_dict(self.h), sort_keys=True)
+        return {"kossakowski_sha256": _digest(kossakowski_json_chunks(self.k)),
+                "hamiltonian_sha256": _digest([h_record])}
 
 
 def _centers_at(num_sites: int, k_max: int, alpha: float) -> list[tuple[int, float]]:
@@ -383,26 +409,26 @@ def _prediction_rows(
 
 
 def _realize(analyze: Callable, cfg: ExperimentConfig, index: int,
-             map_couplings: Callable = map) -> tuple[dict, object]:
-    realization = Realization(cfg, index)
-    result = analyze(realization, map_couplings)
+             fan_out: Callable = map) -> tuple[dict, object]:
+    realization = Realization(cfg, index, fan_out)
+    result = analyze(realization)
     # digested after the solves: the freed JSON records would otherwise
     # stay in the small-object heap and raise the peak memory
     return realization.digests(), result
 
 
 def _run_pool(analyze: Callable, cfg: ExperimentConfig) -> tuple[list[dict], list]:
-    """Run ``analyze(realization, map_couplings)`` on every realization on
-    ``cfg.workers`` threads; returns the model digests and the results,
-    merged in realization order regardless of completion order.
+    """Run ``analyze(realization)`` on every realization on ``cfg.workers``
+    threads; returns the model digests and the results, merged in
+    realization order regardless of completion order.
 
     With at least as many realizations as workers, each thread takes whole
     realizations, so at most ``workers`` generators are alive, each beside
-    its realization's L_U and factor of L_D, and ``map_couplings`` is the
-    builtin ``map``.  With fewer, the realizations run in turn and each
-    one's couplings go to the pool through its ``map``; nothing is
-    submitted from inside the pool.  One worker runs inline, where a
-    tracer's span stack can follow the calls.
+    its realization's L_U and factor of L_D, and each realization's ``map``
+    is the builtin one.  With fewer, the realizations run in turn and each
+    one's ``map`` is the pool's, over which ``Realization.spectra`` spreads
+    its couplings; nothing is submitted from inside the pool.  One worker
+    runs inline, where a tracer's span stack can follow the calls.
     """
     indices = range(cfg.realizations)
     if cfg.workers == 1:
@@ -436,17 +462,15 @@ def _labelled_rows(
     return rows, report, weights
 
 
-def _spectrum_worker(rz: Realization, map_couplings: Callable) -> dict:
+def _spectrum_worker(rz: Realization) -> dict:
     probe = random_weight_operator(rz.basis, 2, rz.stream(STREAM_ANALYSIS))
-    l_u, l_d = rz.generators()
 
-    def solve(alpha: float) -> dict:
-        spectrum = diagonalize(assemble(l_u, l_d, unitary=alpha))
+    def read(alpha: float, spectrum: Spectrum) -> dict:
         rows, report, _ = _labelled_rows(rz, alpha, spectrum, probe)
         rescale = 1.0 / alpha if alpha > 0 else None
         return {"rows": rows, "clusters": _cluster_payload(report, rescale)}
 
-    return dict(zip(rz.cfg.alphas, map_couplings(solve, rz.cfg.alphas)))
+    return rz.spectra(read, vectors=rz.cfg.alphas)
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
@@ -472,15 +496,9 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 # --- sweep-beta -------------------------------------------------------------
 
 
-def _beta_worker(rz: Realization, map_couplings: Callable) -> dict:
-    # beta = 0 alone needs neither L_U nor L_D
-    generators = rz.generators() if any(rz.cfg.betas) else None
-
-    def solve(beta: float) -> dict:
-        if beta == 0:
-            eigs = unitary_eigenvalues(rz.h)
-        else:
-            eigs = diagonalize(assemble(*generators, dissipator=beta), vectors=False).eigenvalues
+def _beta_worker(rz: Realization) -> dict:
+    def read(beta: float, spectrum: Spectrum) -> dict:
+        eigs = spectrum.eigenvalues
         labels = ["steady" if abs(v) < 1e-8 else _EMPTY for v in eigs]
         return {
             "rows": _eigen_rows(rz.cfg.seed, beta, eigs, labels, None, None, rz.cfg.sites),
@@ -488,7 +506,7 @@ def _beta_worker(rz: Realization, map_couplings: Callable) -> dict:
             "std_im": float(eigs.imag.std()),
         }
 
-    return dict(zip(rz.cfg.betas, map_couplings(solve, rz.cfg.betas)))
+    return rz.spectra(read)
 
 
 def cmd_sweep_beta(cfg: ExperimentConfig) -> int:
@@ -511,7 +529,7 @@ def cmd_sweep_beta(cfg: ExperimentConfig) -> int:
 # --- csr --------------------------------------------------------------------
 
 
-def _csr_worker(rz: Realization, map_couplings: Callable) -> dict:
+def _csr_worker(rz: Realization) -> dict:
     cfg = rz.cfg
 
     def ratios(eigs: np.ndarray) -> np.ndarray:
@@ -520,27 +538,13 @@ def _csr_worker(rz: Realization, map_couplings: Callable) -> dict:
     if cfg.unitary_only:
         # distinct levels only: at an odd site count every level is a Kramers pair
         return {"unitary": ratios(unitary_eigenvalues(rz.h, distinct=True))}
-    l_u, l_d = rz.generators()
-
-    def solve(alpha: float) -> np.ndarray:
-        return ratios(diagonalize(assemble(l_u, l_d, unitary=alpha), vectors=False).eigenvalues)
-
-    return dict(zip(cfg.alphas, map_couplings(solve, cfg.alphas)))
+    return rz.spectra(lambda alpha, spectrum: ratios(spectrum.eigenvalues))
 
 
 def _hist_rows(hist) -> list[list]:
-    rows = []
-    density = hist.density
-    for i in range(hist.counts.size):
-        rows.append(
-            [
-                _fmt(hist.bin_edges[i]),
-                _fmt(hist.bin_edges[i + 1]),
-                int(hist.counts[i]),
-                _fmt(density[i]),
-            ]
-        )
-    return rows
+    edges, density = hist.bin_edges, hist.density
+    return [[_fmt(edges[i]), _fmt(edges[i + 1]), int(count), _fmt(density[i])]
+            for i, count in enumerate(hist.counts)]
 
 
 _HIST_HEADER = ["bin_lo", "bin_hi", "count", "density"]
@@ -586,21 +590,12 @@ def cmd_csr(cfg: ExperimentConfig) -> int:
 # --- heisenberg -------------------------------------------------------------
 
 
-def _heisenberg_worker(refs: list[tuple[str, np.ndarray]], rz: Realization,
-                       map_couplings: Callable) -> dict:
+def _heisenberg_worker(refs: list[tuple[str, np.ndarray]], rz: Realization) -> dict:
     cfg, basis = rz.cfg, rz.basis
     alphas = sorted(cfg.alphas)
     probe = random_weight_operator(basis, 2, rz.stream(STREAM_ANALYSIS))
-    l_u, l_d = rz.generators()
-
-    def solve(alpha: float) -> tuple:
-        # right modes only at the strongest coupling, where persistence is read
-        spectrum = diagonalize(assemble(l_u, l_d, unitary=alpha), vectors=alpha == alphas[-1])
-        return spectrum, *_labelled_rows(rz, alpha, spectrum, probe)
-
-    # the eigenvector solve is the longest task, so it starts first
-    order = alphas[-1:] + alphas[:-1]
-    solved = dict(zip(order, map_couplings(solve, order)))
+    # right modes only at the strongest coupling, where persistence is read
+    solved = rz.spectra(lambda a, s: (s, *_labelled_rows(rz, a, s, probe)), vectors=alphas[-1:])
     centers = [(kk, lambda0(kk, cfg.sites, cfg.k_max)) for kk in range(1, cfg.sites + 1)]
     # the strongest coupling's profiles, read for its rows already
     persistence = persistent_modes(
@@ -705,31 +700,15 @@ def cmd_heisenberg(cfg: ExperimentConfig) -> int:
 # --- density ----------------------------------------------------------------
 
 
-def _density_worker(rz: Realization, map_couplings: Callable) -> dict:
-    l_u, l_d = rz.generators()
-
-    def solve(alpha: float) -> np.ndarray:
-        return diagonalize(assemble(l_u, l_d, unitary=alpha), vectors=False).eigenvalues
-
-    return dict(zip(rz.cfg.alphas, map_couplings(solve, rz.cfg.alphas)))
+def _density_worker(rz: Realization) -> dict:
+    return rz.spectra(lambda alpha, spectrum: spectrum.eigenvalues)
 
 
 def _density_rows(density) -> list[list]:
-    rows = []
-    dens = density.density
-    for i in range(density.counts.shape[0]):
-        for j in range(density.counts.shape[1]):
-            rows.append(
-                [
-                    _fmt(density.re_edges[i]),
-                    _fmt(density.re_edges[i + 1]),
-                    _fmt(density.im_edges[j]),
-                    _fmt(density.im_edges[j + 1]),
-                    int(density.counts[i, j]),
-                    _fmt(dens[i, j]),
-                ]
-            )
-    return rows
+    re, im, dens = density.re_edges, density.im_edges, density.density
+    return [[_fmt(re[i]), _fmt(re[i + 1]), _fmt(im[j]), _fmt(im[j + 1]),
+             int(density.counts[i, j]), _fmt(dens[i, j])]
+            for i, j in np.ndindex(density.counts.shape)]
 
 
 _DENSITY_HEADER = ["re_lo", "re_hi", "im_lo", "im_hi", "count", "density"]
@@ -807,12 +786,8 @@ def _write_manifest(
     axis_rescale: Optional[dict],
 ) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    openblas = numpy_openblas()
     # thread count (1 under the pin), CPU kernel and build: each sets the bits
-    threads, core, config = (None,) * 3 if openblas is None else (
-        openblas.scipy_openblas_get_num_threads64_(),
-        openblas.scipy_openblas_get_corename64_().decode(),
-        openblas.scipy_openblas_get_config64_().decode())
+    threads, core, config = environment()
     # read from the installed metadata, so that a run imports no scipy
     # module; imported here, so that importing this module stays as fast
     import importlib.metadata

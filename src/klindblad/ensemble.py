@@ -10,10 +10,11 @@ streams.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import sqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "heisenberg_hamiltonian",
     "dense_hamiltonian",
     "kossakowski_to_json_dict",
+    "kossakowski_json_chunks",
     "hamiltonian_to_json_dict",
 ]
 
@@ -230,6 +232,11 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 # emitted as (row, col, re, im) rows.
 
 
+def _kossakowski_header(sample: KossakowskiSample) -> dict:
+    return {"type": "kossakowski", "num_sites": sample.num_sites, "k_max": sample.k_max,
+            "seed": sample.seed, "d_diag": [float(x) for x in sample.d_diag]}
+
+
 def kossakowski_to_json_dict(sample: KossakowskiSample) -> dict:
     n = sample.jump_dimension
     entries = []
@@ -237,14 +244,23 @@ def kossakowski_to_json_dict(sample: KossakowskiSample) -> dict:
         for c in range(n):
             v = sample.k_matrix[r, c]
             entries.append([r, c, float(v.real), float(v.imag)])
-    return {
-        "type": "kossakowski",
-        "num_sites": sample.num_sites,
-        "k_max": sample.k_max,
-        "seed": sample.seed,
-        "d_diag": [float(x) for x in sample.d_diag],
-        "k_matrix": entries,
-    }
+    return {**_kossakowski_header(sample), "k_matrix": entries}
+
+
+def kossakowski_json_chunks(sample: KossakowskiSample) -> Iterator[str]:
+    """``json.dumps(kossakowski_to_json_dict(sample), sort_keys=True)`` in
+    pieces of 64 rows of K each, so that its n^2 entry records never exist
+    at once: the manifest digests K this way."""
+    head, tail = json.dumps({**_kossakowski_header(sample), "k_matrix": []},
+                            sort_keys=True).split('"k_matrix": []')
+    yield head + '"k_matrix": ['
+    for lo in range(0, sample.jump_dimension, 64):
+        block = sample.k_matrix[lo : lo + 64]
+        yield (", " if lo else "") + json.dumps([
+            [r, c, re, im] for r, row_re, row_im in
+            zip(count(lo), block.real.tolist(), block.imag.tolist())
+            for c, (re, im) in enumerate(zip(row_re, row_im))])[1:-1]
+    yield "]" + tail
 
 
 def hamiltonian_to_json_dict(spec: HamiltonianSpec) -> dict:

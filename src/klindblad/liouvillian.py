@@ -19,10 +19,10 @@ coupling matrix K and is diagonal with entries lambda0(weight), and L_D1
 carries the fluctuations.  The weak-dissipation form L_U + beta * L_D is
 the same object with the scale moved: :func:`assemble` takes both scales.
 
-Every generator is dense, 4^num_sites on a side, so building one is
-refused above MAX_SUPEROPERATOR_SITES unless explicitly overridden.  Its
-parts are not: L_U is sparse (:class:`SparseSuperoperator`, from
-:func:`unitary_pauli_matrix` over any weight window), and L_D a compact
+Every generator is dense, 4^num_sites on a side.  No builder here refuses
+a size: the caller knows the run it sizes, and the command line guards
+its own.  The parts are not dense: L_U is sparse (:class:`SparseSuperoperator`,
+from :func:`unitary_pauli_matrix` over any weight window), and L_D a compact
 factor (:class:`DissipatorFactor`, 4.7 MB at 6 sites against 134 MB dense).
 :func:`assemble` writes both, scaled, into the one matrix the eigensolver
 consumes; :func:`build_dissipator` writes a dense L_D.  ``pauli_basis_form``
@@ -41,15 +41,13 @@ from typing import Union
 import numpy as np
 
 from .ensemble import HamiltonianSpec, KossakowskiSample, kossakowski_dimension
-from .errors import NonPositiveKossakowskiError, NumericalError, ResourceLimitError
+from .errors import NonPositiveKossakowskiError, NumericalError
 from .openblas import solver_matrix
 from .pauli import PHASES, PauliBasis, anticommutes, basis_state_images, product_exponent
 
 __all__ = [
-    "MAX_SUPEROPERATOR_SITES",
     "Superoperator",
     "SparseSuperoperator",
-    "check_size",
     "jump_operator_set",
     "DissipatorFactor",
     "dissipator_factor",
@@ -63,19 +61,6 @@ __all__ = [
     "real_pauli_form",
     "unitary_pauli_matrix",
 ]
-
-MAX_SUPEROPERATOR_SITES = 6
-
-
-def check_size(num_sites: int, allow_large: bool) -> None:
-    """The dense-superoperator guardrail: refuse more than
-    ``MAX_SUPEROPERATOR_SITES`` sites unless ``allow_large``."""
-    if num_sites > MAX_SUPEROPERATOR_SITES and not allow_large:
-        raise ResourceLimitError(
-            f"dense superoperator at {num_sites} sites needs a {4**num_sites}x{4**num_sites} "
-            f"matrix; pass allow_large=True (--allow-large) to force"
-        )
-
 
 def jump_operator_set(num_sites: int, k_max: int = 2) -> PauliBasis:
     """Standard channel set: the window of strings with 1 <= weight <= k_max.
@@ -192,12 +177,10 @@ class DissipatorFactor:
 
 
 def dissipator_factor(k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis,
-                      basis: PauliBasis, *, validate: bool = True,
-                      allow_large: bool = False) -> DissipatorFactor:
+                      basis: PauliBasis, *, validate: bool = True) -> DissipatorFactor:
     """Factor of L_D = sum_nm K_nm (L_n . L_m^dag - 1/2 {L_m^dag L_n, .}),
     with K checked for Hermiticity and positivity unless ``validate`` is false."""
     num_sites = jumps.num_sites
-    check_size(num_sites, allow_large)
     _check_complete(basis, num_sites)
     k_matrix = _coupling_matrix(k, jumps)
     if validate:
@@ -243,26 +226,19 @@ def _write_dissipator(factor: DissipatorFactor, scale: float, out: np.ndarray) -
 
 
 def build_dissipator(k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis,
-                     basis: PauliBasis, *, validate: bool = True,
-                     allow_large: bool = False) -> Superoperator:
+                     basis: PauliBasis, *, validate: bool = True) -> Superoperator:
     """Dense L_D: :func:`dissipator_factor` written into a zeroed matrix in
     Fortran order."""
-    factor = dissipator_factor(k, jumps, basis, validate=validate, allow_large=allow_large)
+    factor = dissipator_factor(k, jumps, basis, validate=validate)
     out = np.zeros((len(basis), len(basis)), order="F")
     _write_dissipator(factor, 1.0, out)
     return Superoperator(basis.num_sites, out)
 
 
-def build_unitary_part(
-    h: HamiltonianSpec,
-    basis: PauliBasis,
-    *,
-    allow_large: bool = False,
-) -> SparseSuperoperator:
+def build_unitary_part(h: HamiltonianSpec, basis: PauliBasis) -> SparseSuperoperator:
     """Commutator generator -i[H, .] over the complete basis, the L_U that
     :func:`assemble` adds into each generator; see
     :func:`unitary_pauli_matrix` for a weight window."""
-    check_size(h.num_sites, allow_large)
     _check_complete(basis, h.num_sites)
     return unitary_pauli_matrix(h, basis)
 

@@ -2,9 +2,10 @@
 
 numpy ships one OpenBLAS build (``numpy.libs/libscipy_openblas64_*``: 64-bit
 integers, symbols prefixed ``scipy_`` and suffixed ``64_``).  This module
-loads it once, on first use, for two jobs: ``one_blas_thread`` pins its
-thread count around a command, and ``dgeev`` runs its LAPACK eigensolver
-in place on a real matrix, fastest on one laid out by ``solver_matrix``.  A
+loads it once, on first use, for three jobs: ``one_blas_thread`` pins its
+thread count around a command, ``environment`` reads what sets a run's
+bits, and ``dgeev`` runs its LAPACK eigensolver in place on a real matrix,
+fastest on one laid out by ``solver_matrix``.  A
 ``ctypes.CDLL`` call releases the interpreter lock, so threads solve
 concurrently.  ``ctypes`` is imported on first use only.
 """
@@ -18,7 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-__all__ = ["numpy_openblas", "one_blas_thread", "solver_matrix", "dgeev"]
+__all__ = ["numpy_openblas", "one_blas_thread", "environment", "solver_matrix", "dgeev"]
 
 # Rows of padding below each column of a matrix that dgeev works on.  With
 # 4^l rows, a power of two, the columns LAPACK sweeps map onto the same cache
@@ -83,6 +84,16 @@ def one_blas_thread() -> Iterator[None]:
         yield
     finally:
         lib.scipy_openblas_set_num_threads64_(old)
+
+
+def environment() -> tuple[Optional[int], Optional[str], Optional[str]]:
+    """(thread count, CPU kernel, build string) of numpy's OpenBLAS, each
+    None where the library is not found."""
+    lib = numpy_openblas()
+    if lib is None:
+        return None, None, None
+    return (lib.scipy_openblas_get_num_threads64_(), lib.scipy_openblas_get_corename64_().decode(),
+            lib.scipy_openblas_get_config64_().decode())
 
 
 def solver_matrix(n: int) -> np.ndarray:

@@ -22,7 +22,12 @@ from klindblad.errors import NumericalError
 from klindblad.liouvillian import assemble, lambda0, unitary_pauli_matrix
 from klindblad import openblas
 from klindblad.spectral import commutant_basis
-from klindblad.ensemble import HamiltonianSpec, heisenberg_hamiltonian, sample_random_hamiltonian
+from klindblad.ensemble import (
+    HamiltonianSpec,
+    heisenberg_hamiltonian,
+    kossakowski_to_json_dict,
+    sample_random_hamiltonian,
+)
 from klindblad.pauli import PauliBasis
 
 
@@ -90,7 +95,6 @@ def test_manifest_records_numeric_environment(tmp_path, monkeypatch):
 
 def test_manifest_without_numpy_openblas_records_null(tmp_path, monkeypatch):
     monkeypatch.setattr(openblas, "numpy_openblas", lambda: None)
-    monkeypatch.setattr(cli, "numpy_openblas", lambda: None)
     out = tmp_path / "run"
     assert run("spectrum", "--sites", 2, "--seed", 11, "--alpha", "0", "--out", out) == 0
     blas = manifest_of(out)["libraries"]["blas"]
@@ -539,10 +543,21 @@ def test_k_max_out_of_range(tmp_path):
 # --- guardrails and failure mapping -----------------------------------------
 
 
-def test_site_guardrail_exit_code(tmp_path, capsys):
-    assert run("spectrum", "--sites", 7, "--seed", 1, "--alpha", "0.1",
-               "--out", tmp_path / "run") == 3
-    assert "resource limit" in capsys.readouterr().err
+def test_site_guardrail_exit_code(tmp_path, monkeypatch, capsys):
+    # every subcommand that solves a generator is refused at 7 sites, where
+    # it first needs the complete basis: before K, the basis or a part is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built something before the guardrail")
+
+    for name in ("sample_kossakowski", "PauliBasis", "jump_operator_set",
+                 "build_unitary_part", "dissipator_factor"):
+        monkeypatch.setattr(cli, name, refuse)
+    for args in (("spectrum", "--alpha", "0.1"), ("sweep-beta", "--beta", "0.1"),
+                 ("csr", "--alpha", "0.1"), ("heisenberg", "--alpha", "0.1,1"),
+                 ("density", "--alpha", "0.1", "--realizations", 2)):
+        assert run(*args, "--sites", 7, "--seed", 1, "--out", tmp_path / args[0]) == 3
+        assert "resource limit: dense superoperator at 7 sites needs a 16384x16384 matrix" \
+            in capsys.readouterr().err
 
 
 def test_runs_without_a_superoperator_need_no_large_flag(tmp_path, monkeypatch):
@@ -628,6 +643,73 @@ def test_realization_holds_no_dense_matrix():
     solver_bytes = generator.matrix.base.nbytes
     assert solver_bytes <= after - held < solver_bytes + 2**16
     assert peak - held < solver_bytes + matrix_bytes / 2
+
+
+def _counting(calls: list, name: str, function):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    return counted
+
+
+def test_spectra_builds_the_parts_once_and_solves_the_vector_couplings_first(monkeypatch):
+    built, mapped = [], []
+    for name in ("build_unitary_part", "dissipator_factor", "unitary_eigenvalues"):
+        monkeypatch.setattr(cli, name, _counting(built, name, getattr(cli, name)))
+
+    def recording_map(solve, couplings):
+        mapped.append(list(couplings))
+        return map(solve, couplings)
+
+    cfg = cli.ExperimentConfig(sites=3, seed=1, out="unused", alphas=(0.1, 0.5, 2.0))
+    rz = cli.Realization(cfg, 0, recording_map)
+    read = []
+    spectra = rz.spectra(lambda alpha, spectrum: read.append(alpha) or spectrum, vectors=(2.0,))
+    assert mapped == [[2.0, 0.1, 0.5]] and read == [2.0, 0.1, 0.5]
+    assert built == ["build_unitary_part", "dissipator_factor"]
+    assert {a for a, s in spectra.items() if s.right_modes is not None} == {2.0}
+    want = cli.diagonalize(assemble(*rz.generators(), unitary=0.5), vectors=False)
+    assert np.array_equal(spectra[0.5].eigenvalues, want.eigenvalues)
+
+    # a beta list: the parts once, beta = 0 from the levels of H, no modes
+    built.clear()
+    cfg = cli.ExperimentConfig(sites=3, seed=1, out="unused", betas=(0.0, 0.05))
+    rz = cli.Realization(cfg, 0, recording_map)
+    spectra = rz.spectra(lambda beta, spectrum: spectrum)
+    assert mapped[-1] == [0.0, 0.05]
+    assert built == ["build_unitary_part", "dissipator_factor", "unitary_eigenvalues"]
+    assert all(s.right_modes is None for s in spectra.values())
+    assert np.array_equal(spectra[0.0].eigenvalues, cli.unitary_eigenvalues(rz.h))
+    want = cli.diagonalize(assemble(*rz.generators(), dissipator=0.05), vectors=False)
+    assert np.array_equal(spectra[0.05].eigenvalues, want.eigenvalues)
+
+    # beta = 0 alone builds no part
+    built.clear()
+    cfg = cli.ExperimentConfig(sites=3, seed=1, out="unused", betas=(0.0,))
+    cli.Realization(cfg, 0).spectra(lambda beta, spectrum: spectrum)
+    assert built == ["unitary_eigenvalues"]
+
+
+def _traced(function):
+    tracemalloc.start()
+    try:
+        return function(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_k_digest_streams_its_record():
+    # the digest hashes K's JSON record 64 rows at a time: at 375 channels a
+    # sixth of the record per piece, a quarter of the peak of forming it whole
+    cfg = cli.ExperimentConfig(sites=5, seed=1, out="unused", k_max=3, alphas=(0.1,))
+    rz = cli.Realization(cfg, 0)
+    record = partial(kossakowski_to_json_dict, rz.k)  # K drawn before the count
+    digests, streamed = _traced(rz.digests)
+    whole, formed = _traced(lambda: hashlib.sha256(
+        json.dumps(record(), sort_keys=True).encode()).hexdigest())
+    assert digests["kossakowski_sha256"] == whole
+    assert streamed < formed / 2
 
 
 def test_failed_solve_exit_code(tmp_path, monkeypatch, capsys):

@@ -23,6 +23,7 @@ from klindblad.ensemble import (
     hamiltonian_to_json_dict,
     heisenberg_hamiltonian,
     kossakowski_dimension,
+    kossakowski_json_chunks,
     kossakowski_to_json_dict,
     random_coupling_sigma,
     sample_kossakowski,
@@ -283,6 +284,15 @@ def test_kossakowski_json_round_trip_is_bit_exact():
     assert np.array_equal(k, s.k_matrix)
     assert np.array_equal(record["d_diag"], s.d_diag)
     assert (record["num_sites"], record["k_max"], record["seed"]) == (4, 2, 12)
+
+
+@pytest.mark.parametrize("num_sites, k_max", [(2, 1), (3, 2), (4, 3), (5, 2)])
+def test_kossakowski_json_chunks_spell_the_record(num_sites, k_max):
+    # the manifest hashes these pieces; joined, they are the record's JSON
+    # text (one piece of rows up to 36 channels, 2 at 105 and 3 at 174)
+    s = sample_kossakowski(num_sites, k_max, seed=3)
+    want = json.dumps(kossakowski_to_json_dict(s), sort_keys=True)
+    assert "".join(kossakowski_json_chunks(s)) == want
 
 
 def test_hamiltonian_json_round_trip_is_bit_exact():

@@ -22,7 +22,7 @@ from klindblad.ensemble import (
     sample_kossakowski,
     sample_random_hamiltonian,
 )
-from klindblad.errors import NonPositiveKossakowskiError, NumericalError, ResourceLimitError
+from klindblad.errors import NonPositiveKossakowskiError, NumericalError
 from klindblad.liouvillian import (
     Superoperator,
     assemble,
@@ -149,15 +149,6 @@ def test_builders_need_the_complete_basis():
         build_dissipator(np.eye(45), jump_operator_set(3, 2), window)
     with pytest.raises(ValueError):
         build_unitary_part(h, PauliBasis(2))
-
-
-def test_size_guardrail():
-    # the guardrail fires before the basis is looked at
-    small = PauliBasis(7, max_weight=1)
-    with pytest.raises(ResourceLimitError):
-        build_dissipator(np.eye(231), jump_operator_set(7, 2), small)
-    with pytest.raises(ResourceLimitError):
-        build_unitary_part(sample_random_hamiltonian(7, seed=1), small)
 
 
 # ---------------------------------------------------------------- unitary part
