@@ -447,14 +447,14 @@ def _run_pool(analyze: Callable, cfg: ExperimentConfig) -> tuple[list[dict], lis
 
 def _labelled_rows(
     rz: Realization, alpha: float, spectrum: Spectrum, probe: np.ndarray
-) -> tuple[list[list], ClusterReport, Optional[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[list[list], ClusterReport, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Eigenvalue rows labelled by predicted cluster, the cluster report, and
-    the right modes' ``weight_profiles`` (None without), read into the rows."""
+    the right modes' ``weight_profiles`` with the probe overlaps (None
+    without modes), read into the rows in one walk over the modes."""
     cfg = rz.cfg
     weights = profiles = overlaps = None
-    if spectrum.right_modes is not None:
-        weights = profiles, norms = weight_profiles(spectrum.right_modes, rz.basis)
-        overlaps = np.abs(probe @ spectrum.right_modes) / norms
+    if spectrum.has_modes:
+        weights = profiles, _, overlaps = weight_profiles(spectrum, rz.basis, probe)
     eigs = spectrum.eigenvalues
     report = cluster_by_centers(eigs, _centers_at(cfg.sites, cfg.k_max, alpha))
     labels = _labels_from_report(report, spectrum.dim)

@@ -14,8 +14,10 @@ give one mode the same floats.
 Eigenvalue order is canonical throughout: descending real part, then
 ascending imaginary part, so reports and CSV rows are stable for a fixed
 input matrix.  ``diagonalize`` solves a real generator in place with LAPACK
-``dgeev`` and unpacks the right modes straight into canonical order, so a
-solve holds no copy of the generator and the modes once.
+``dgeev`` and keeps the right modes in its packed real form; every reader
+unpacks them into canonical order one block of columns at a time, so an
+eigenvector solve holds the generator and LAPACK's real eigenvectors, and
+never an n x n complex matrix of modes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,23 +83,75 @@ PROBE_SEED = 0
 class Spectrum:
     """Eigendecomposition with biorthogonal left and right modes.
 
-    ``right_modes`` holds modes as columns; it is None for an
-    eigenvalues-only decomposition.  ``diag_residual`` is the probe residual
-    of ``diagonalize``.  ``left_modes`` holds modes as rows, scaled so that
-    left_modes @ right_modes = 1; it, ``biorth_residual`` and
-    ``diagonalizable`` come from inverting the right modes, an O(n^3) step
-    taken on first access only and cached.  ``diagonalizable`` is False when
-    the left system could not be recovered (near-defective matrix).
+    A spectrum that kept its right modes holds them as ``dgeev`` packs them:
+    the real eigenvectors ``vr`` and the imaginary parts ``wi`` of the
+    eigenvalues, both in solver order, and the canonical ``order``; after a
+    complex solve ``vr`` holds ``np.linalg.eig``'s modes and ``wi`` is None.
+    Readers unpack canonical columns with ``modes`` or walk them with
+    ``mode_blocks``.  ``diag_residual`` is the probe residual of
+    ``diagonalize``.  ``right_modes`` (columns) and ``left_modes`` (rows,
+    scaled so that left_modes @ right_modes = 1) are unpacked and inverted
+    whole on first read, an O(n^3) step cached with ``biorth_residual`` and
+    ``diagonalizable``, which is False when the left system could not be
+    recovered (near-defective matrix).
     """
 
     num_sites: int
     eigenvalues: np.ndarray
-    right_modes: Optional[np.ndarray] = field(default=None, repr=False)
+    vr: Optional[np.ndarray] = field(default=None, repr=False)
+    wi: Optional[np.ndarray] = field(default=None, repr=False)
+    order: Optional[np.ndarray] = field(default=None, repr=False)
     diag_residual: float = 0.0
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def has_modes(self) -> bool:
+        return self.vr is not None
+
+    @cached_property
+    def _pairing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """For each canonical mode: the ``vr`` columns of its real and
+        imaginary parts, whether it is a conjugate, and whether it is real.
+        As numpy reads dgeev, a real eigenvalue owns its column, and a complex
+        pair j, j + 1, which LAPACK lists with Im > 0 first, owns the modes
+        vr_j + i vr_{j+1} and their conjugate."""
+        n, first = self.wi.size, np.flatnonzero(self.wi > 0)
+        re_col, im_col, conjugate = np.arange(n), np.arange(n), np.zeros(n, dtype=bool)
+        re_col[first + 1], im_col[first], conjugate[first + 1] = first, first + 1, True
+        o = self.order
+        return re_col[o], im_col[o], conjugate[o], (self.wi == 0)[o]
+
+    def modes(self, cols: Union[slice, Sequence[int]]) -> np.ndarray:
+        """The right modes at canonical indices ``cols`` as the columns of a
+        Fortran-ordered array, bit for bit those columns of the modes of
+        ``np.linalg.eig`` taken in canonical order.  The modes are real when
+        every ``wi`` is 0, as numpy returns them."""
+        if self.wi is None:
+            return self.vr[:, self.order[cols]]
+        re_col, im_col, conjugate, real = (a[cols] for a in self._pairing)
+        complex_modes = bool(self.wi.any())
+        out = np.empty((self.vr.shape[0], re_col.size), complex if complex_modes else float, "F")
+        out.real = self.vr[:, re_col]
+        if complex_modes:
+            im = self.vr[:, im_col]
+            im[:, conjugate] *= -1.0
+            im[:, real] = 0.0
+            out.imag = im
+        return out
+
+    def mode_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """(canonical columns, ``modes`` of them), ``_MODE_BLOCK`` columns at
+        a time."""
+        for lo in range(0, self.dim, _MODE_BLOCK):
+            cols = slice(lo, lo + _MODE_BLOCK)
+            yield cols, self.modes(cols)
+
+    @cached_property
+    def right_modes(self) -> Optional[np.ndarray]:
+        return self.modes(slice(None)) if self.has_modes else None
 
     @cached_property
     def left_modes(self) -> Optional[np.ndarray]:
@@ -126,11 +180,14 @@ def _fingerprint(matrix: np.ndarray) -> str:
     return f"shape={matrix.shape} dtype={matrix.dtype} sha256={digest[:16]}"
 
 
-# Columns per block when a generator is checked for non-finite entries, when
-# the right modes are unpacked from LAPACK's real form and when their weight
-# profiles are read; each block's temporaries are at most two (n x block)
-# real arrays.
+# Columns per block when a generator is checked for non-finite entries and
+# when the right modes are unpacked from LAPACK's real form; each block's
+# temporaries are at most a few (n x block) arrays.
 _MODE_BLOCK = 64
+
+# A vectors solve fails when its probe residual exceeds this many times
+# max(1, max |y^T M|); healthy solves at 3-6 sites stay below 4e-15 times it.
+RESIDUAL_TOL = 1e-8
 
 
 def _all_finite(m: np.ndarray) -> bool:
@@ -140,59 +197,25 @@ def _all_finite(m: np.ndarray) -> bool:
     return all(np.isfinite(m[:, lo : lo + _MODE_BLOCK]).all() for lo in range(0, n, _MODE_BLOCK))
 
 
-def _right_modes(vr: np.ndarray, wi: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The right modes np.linalg.eig makes of dgeev's packed real ``vr``,
-    with its columns taken in ``order``.
-
-    Walking the eigenvalues as numpy does, a real one owns its column, and
-    a complex pair j, j + 1 owns the modes vr_j + i vr_{j+1} and their
-    conjugate.  The modes are real when every ``wi`` is 0, as numpy returns
-    them.  They are filled in Fortran order, one block of columns at a time,
-    so they are held once.
-    """
-    n = wi.size
-    re_col, im_col = np.arange(n), np.arange(n)
-    conjugate, real = np.zeros(n, dtype=bool), wi == 0
-    j = 0
-    while j < n:
-        if real[j]:
-            j += 1
-            continue
-        re_col[j + 1], im_col[j] = j, j + 1
-        conjugate[j + 1] = True
-        j += 2
-    complex_modes = not real.all()
-    modes = np.empty((n, n), dtype=complex if complex_modes else float, order="F")
-    for lo in range(0, n, _MODE_BLOCK):
-        src = order[lo : lo + _MODE_BLOCK]
-        cols = slice(lo, lo + src.size)
-        modes.real[:, cols] = vr[:, re_col[src]]
-        if complex_modes:
-            im = vr[:, im_col[src]]
-            im[:, conjugate[src]] *= -1.0
-            im[:, real[src]] = 0.0
-            modes.imag[:, cols] = im
-    return modes
-
-
 def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
     """Full non-Hermitian eigendecomposition of a superoperator.
 
     A real float64 ``s.matrix`` is consumed: LAPACK ``dgeev`` of numpy's
     OpenBLAS (see :mod:`klindblad.openblas`) overwrites it with its Schur
     form, so a caller that reads the matrix afterwards passes a copy.  The
-    eigenvalues and right modes are bit for bit those of
-    ``np.linalg.eigvals``/``eig``, which still serve complex input and runs
-    where that library or its ``dgeev`` is not found.
+    eigenvalues and the modes ``Spectrum.modes`` unpacks are bit for bit
+    those of ``np.linalg.eigvals``/``eig``, which still serve complex input
+    and runs where that library or its ``dgeev`` is not found.
 
-    With ``vectors`` the spectrum keeps the right modes V and the residual
-    max |(y^T M) V - (y^T V) Lambda| of one fixed unit vector y, with y^T M
-    taken before the solve.  It costs O(n^2) where the full
+    With ``vectors`` the spectrum keeps the right modes packed (see
+    ``Spectrum``) and the residual max |(y^T M) V - (y^T V) Lambda| of one
+    fixed unit vector y, with y^T M taken before the solve and V read a
+    block of columns at a time.  It costs O(n^2) where the full
     max |MV - V Lambda| costs an O(n^3) product, and never exceeds sqrt(n)
-    times it.  The left modes are computed when first read (see
-    ``Spectrum``); a failed inverse marks the spectrum non-diagonalizable
-    rather than raising, since downstream reports can still use the
-    eigenvalues.
+    times it.  A residual above ``RESIDUAL_TOL`` * max(1, max |y^T M|)
+    raises ``EigensolverError``.  The left modes are computed when first
+    read; a failed inverse marks the spectrum non-diagonalizable rather than
+    raising, since downstream reports can still use the eigenvalues.
     """
     m = s.matrix
     if vectors:
@@ -206,17 +229,12 @@ def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
         solved = openblas.dgeev(m, vectors)
     if solved is None:
         try:
-            if not vectors:
-                eigs = np.linalg.eigvals(m)
-                return Spectrum(s.num_sites, eigs[_canonical_order(eigs)])
-            eigs, right = np.linalg.eig(m)
+            eigs, vr = np.linalg.eig(m) if vectors else (np.linalg.eigvals(m), None)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigensolver failed on {_fingerprint(m)}") from exc
-        order = _canonical_order(eigs)
-        right = right[:, order]
+        wi = None
     else:
         wr, wi, vr, info = solved
-        del solved  # so that vr is freed once the modes are unpacked
         if info != 0:
             raise EigensolverError(f"dgeev failed with info {info} on a {m.shape} {m.dtype} matrix")
         if wi.any():
@@ -224,14 +242,19 @@ def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
             eigs.real, eigs.imag = wr, wi
         else:
             eigs = wr
-        order = _canonical_order(eigs)
-        if not vectors:
-            return Spectrum(s.num_sites, eigs[order])
-        right = _right_modes(vr, wi, order)
-        del vr
+    order = _canonical_order(eigs)
     eigs = eigs[order]
-    diag_residual = float(np.abs(y_m @ right - (y @ right) * eigs).max())
-    return Spectrum(s.num_sites, eigs, right, diag_residual)
+    if not vectors:
+        return Spectrum(s.num_sites, eigs)
+    spectrum = Spectrum(s.num_sites, eigs, vr, wi, order)
+    spectrum.diag_residual = max(float(np.abs(y_m @ block - (y @ block) * eigs[cols]).max())
+                                 for cols, block in spectrum.mode_blocks())
+    scale = max(1.0, float(np.abs(y_m).max()))
+    if not spectrum.diag_residual <= RESIDUAL_TOL * scale:
+        raise EigensolverError(
+            f"probe residual {spectrum.diag_residual:.3g} exceeds {RESIDUAL_TOL:g} * {scale:.3g}"
+            f" on a {m.shape} {m.dtype} matrix")
+    return spectrum
 
 
 # Levels of a 2-local H that are Kramers partners at an odd number of sites
@@ -562,28 +585,35 @@ def cluster_by_centers(
 # --- eigenmode operator content ---------------------------------------------
 
 
-def weight_profiles(modes: np.ndarray, basis: PauliBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Operator-weight content of modes given as columns over ``basis``.
+def weight_profiles(
+    spectrum: Spectrum, basis: PauliBasis, probe: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Operator-weight content of the right modes a spectrum kept, as
+    columns over ``basis``.
 
     Returns the profiles, one row per mode with w_k = sum over weight-k
-    strings of |<S|mode>|^2 / |mode|^2 for k in ``basis.weights()``, and
-    the modes' norms.  Each row sums to 1 for a complete basis.  The modes
-    are read one block of columns at a time, so the temporaries are a few
+    strings of |<S|mode>|^2 / |mode|^2 for k in ``basis.weights()``, the
+    modes' norms, and, given a real ``probe`` over ``basis``, the overlaps
+    |<probe|mode>| / |mode| (else None).  Each row sums to 1 for a complete
+    basis.  The modes are unpacked one block of columns at a time
+    (``Spectrum.mode_blocks``), so the temporaries are a few
     (strings x block) arrays.
     """
-    if modes.shape[0] != len(basis):
-        raise ValueError(f"mode length {modes.shape[0]} does not match basis size {len(basis)}")
+    if spectrum.vr.shape[0] != len(basis):
+        raise ValueError(f"mode length {spectrum.vr.shape[0]} is not the basis size {len(basis)}")
     starts = [basis.sector(k).start for k in basis.weights()]
-    profiles, norms = np.empty((modes.shape[1], len(starts))), np.empty(modes.shape[1])
-    for lo in range(0, modes.shape[1], _MODE_BLOCK):
-        cols = slice(lo, lo + _MODE_BLOCK)
-        power = np.abs(modes[:, cols])
+    profiles, norms = np.empty((spectrum.dim, len(starts))), np.empty(spectrum.dim)
+    overlaps = None if probe is None else np.empty(spectrum.dim)
+    for cols, block in spectrum.mode_blocks():
+        power = np.abs(block)
         np.square(power, out=power)
         column_sums = power.sum(axis=0)
         norms[cols] = np.sqrt(column_sums)
+        if probe is not None:
+            overlaps[cols] = np.abs(probe @ block) / norms[cols]
         power /= column_sums
         profiles[cols] = np.add.reduceat(power, starts, axis=0).T
-    return profiles, norms
+    return profiles, norms, overlaps
 
 
 def random_weight_operator(
@@ -683,7 +713,7 @@ def persistent_modes(
     window: float = 0.05,
     weight_threshold: float = 0.8,
     reference_operators: Optional[Sequence[tuple[str, np.ndarray]]] = None,
-    profiles: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    profiles: Optional[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
 ) -> PersistenceReport:
     """Find eigenvalues that stay pinned to unperturbed centers as the
     coupling grows.
@@ -705,7 +735,7 @@ def persistent_modes(
     sweep = sorted(sweep, key=lambda item: item[0])
     alphas = tuple(alpha for alpha, _ in sweep)
     final = sweep[-1][1]
-    if final.right_modes is None:
+    if not final.has_modes:
         raise ValueError("the largest-coupling spectrum must carry eigenmodes")
 
     degenerate = len(set(alphas)) < 2
@@ -724,7 +754,7 @@ def persistent_modes(
             raise SpectralAnalysisError("zero reference operator")
         stacked /= ref_norms
 
-    profiles, norms = profiles or weight_profiles(final.right_modes, basis)
+    profiles, norms, _ = profiles or weight_profiles(final, basis)
     groups = []
     for label, center in _merge_centers(centers):
         weights_in_label = {int(w) for w in label.split(",")}
@@ -737,7 +767,7 @@ def persistent_modes(
                 >= weight_threshold]
         best = span = [None] * len(kept)
         if reference_operators and kept:
-            unit = final.right_modes[:, kept]
+            unit = final.modes(kept)
             unit /= norms[kept]
             overlaps = np.abs(stacked.conj().T @ unit)
             best = [(reference_operators[j][0], float(overlaps[j, c]))

@@ -21,7 +21,7 @@ from klindblad.cli import main
 from klindblad.errors import NumericalError
 from klindblad.liouvillian import assemble, lambda0, unitary_pauli_matrix
 from klindblad import openblas
-from klindblad.spectral import commutant_basis
+from klindblad.spectral import Spectrum, commutant_basis
 from klindblad.ensemble import (
     HamiltonianSpec,
     heisenberg_hamiltonian,
@@ -668,7 +668,7 @@ def test_spectra_builds_the_parts_once_and_solves_the_vector_couplings_first(mon
     spectra = rz.spectra(lambda alpha, spectrum: read.append(alpha) or spectrum, vectors=(2.0,))
     assert mapped == [[2.0, 0.1, 0.5]] and read == [2.0, 0.1, 0.5]
     assert built == ["build_unitary_part", "dissipator_factor"]
-    assert {a for a, s in spectra.items() if s.right_modes is not None} == {2.0}
+    assert {a for a, s in spectra.items() if s.has_modes} == {2.0}
     want = cli.diagonalize(assemble(*rz.generators(), unitary=0.5), vectors=False)
     assert np.array_equal(spectra[0.5].eigenvalues, want.eigenvalues)
 
@@ -679,7 +679,7 @@ def test_spectra_builds_the_parts_once_and_solves_the_vector_couplings_first(mon
     spectra = rz.spectra(lambda beta, spectrum: spectrum)
     assert mapped[-1] == [0.0, 0.05]
     assert built == ["build_unitary_part", "dissipator_factor", "unitary_eigenvalues"]
-    assert all(s.right_modes is None for s in spectra.values())
+    assert not any(s.has_modes for s in spectra.values())
     assert np.array_equal(spectra[0.0].eigenvalues, cli.unitary_eigenvalues(rz.h))
     want = cli.diagonalize(assemble(*rz.generators(), dissipator=0.05), vectors=False)
     assert np.array_equal(spectra[0.05].eigenvalues, want.eigenvalues)
@@ -736,6 +736,37 @@ def test_failed_solve_exit_code(tmp_path, monkeypatch, capsys):
         assert run(command, "--sites", 2, "--seed", 1, "--alpha", "0.1", "--min-ratios", 3,
                    "--out", tmp_path / f"info-{command}") == 4
         assert "info 3" in capsys.readouterr().err
+
+
+def test_unhealthy_eigenvector_solve_exits_4(tmp_path, monkeypatch, capsys):
+    dgeev = openblas.dgeev
+    if dgeev(np.zeros((1, 1)), False) is None:
+        pytest.skip("numpy's OpenBLAS or its dgeev was not found")
+
+    def perturbed(a, vectors):
+        wr, wi, vr, info = dgeev(a, vectors)
+        if vectors:
+            vr[:, 5] += 1e-3
+        return wr, wi, vr, info
+
+    monkeypatch.setattr(openblas, "dgeev", perturbed)
+    assert run("spectrum", "--sites", 3, "--seed", 1, "--alpha", "0.1",
+               "--out", tmp_path / "run") == 4
+    assert "probe residual" in capsys.readouterr().err
+
+
+def test_heisenberg_never_holds_a_complex_copy_of_the_modes(tmp_path, monkeypatch):
+    # an eigenvector solve holds the generator and LAPACK's real
+    # eigenvectors; every reader unpacks a block of columns at a time, and
+    # nothing on a run's path unpacks the modes whole
+    def whole(spectrum):
+        raise AssertionError("the right modes were unpacked whole")
+
+    monkeypatch.setattr(Spectrum, "right_modes", property(whole))
+    code, peak = _traced(lambda: run("heisenberg", "--sites", 5, "--alpha", "1,32",
+                                     "--workers", 1, "--seed", 1, "--out", tmp_path / "run"))
+    assert code == 0
+    assert peak < 3.5 * 8 * 4**10
 
 
 def test_module_entry_point(tmp_path):

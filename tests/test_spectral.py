@@ -167,6 +167,63 @@ def test_solve_gives_the_bits_of_numpy(case, library, monkeypatch):
     assert np.array_equal(s.matrix, m) != overwritten
 
 
+def _reader_cases():
+    for num_sites in (3, 4, 5):
+        yield f"l{num_sites}", num_sites, lambda n=num_sites: full_liouvillian(n, 0.5).matrix
+    yield "real-spectrum", 3, lambda: build_dissipator(
+        np.eye(36), jump_operator_set(3, 2), PauliBasis(3)).matrix
+    # complex input takes np.linalg.eig, whose modes the spectrum keeps as they are
+    yield "complex-input", 3, lambda: full_liouvillian(3, 0.5).matrix.astype(complex)
+
+
+def _persistence_bits(report):
+    return [(g.label, g.counts, [(m.index, m.eigenvalue, m.profile.tobytes(), m.best_reference,
+                                  m.span_overlap) for m in g.modes]) for g in report.groups]
+
+
+@pytest.mark.parametrize("case", list(_reader_cases()), ids=lambda case: case[0])
+def test_block_readers_give_the_bits_of_the_whole_modes(case):
+    name, num_sites, make = case
+    m = make()
+    eigs, right = np.linalg.eig(m)
+    whole = right[:, _canonical_order(eigs)]
+    spec = diagonalize(Superoperator(num_sites, m.copy(order="F")))
+    assert (spec.wi is None) == (name == "complex-input" or not _has_dgeev())
+    n = spec.dim
+    for cols in (slice(64, 128), [n - 1, 5, 17, 6]):
+        unpacked = spec.modes(cols)
+        assert unpacked.flags.f_contiguous
+        assert unpacked.tobytes() == whole[:, cols].tobytes()
+
+    basis = PauliBasis(num_sites)
+    rng = np.random.default_rng(5)
+    probe = random_weight_operator(basis, 2, rng)
+    # a spectrum that holds the whole modes, as one that kept them used to
+    held = spectral.Spectrum(num_sites, spec.eigenvalues, whole, order=np.arange(n))
+    profiles, norms, overlaps = weight_profiles(spec, basis, probe)
+    want_profiles, want_norms, _ = weight_profiles(held, basis)
+    assert profiles.tobytes() == want_profiles.tobytes()
+    assert norms.tobytes() == want_norms.tobytes()
+    assert overlaps.tobytes() == (np.abs(probe @ whole) / want_norms).tobytes()
+
+    # the persistence report of the packed modes and of the whole ones
+    refs = [("w1", random_weight_operator(basis, 1, rng)), ("w2", probe),
+            ("w2b", random_weight_operator(basis, 2, rng))]
+    # a center per weight where that weight's modes lie, so that each keeps some
+    dominant = profiles.argmax(axis=1)
+    centers = [(k, float(np.median(spec.eigenvalues.real[dominant == k])))
+               for k in range(1, num_sites + 1)]
+
+    def report(final):
+        sweep = [(0.0, spectral.Spectrum(num_sites, np.zeros(n))), (1.0, final)]
+        return _persistence_bits(persistent_modes(
+            sweep, basis, centers, window=0.2, weight_threshold=0.5, reference_operators=refs))
+
+    got = report(spec)
+    assert sum(len(modes) for _, _, modes in got) > 0
+    assert got == report(held)
+
+
 def test_dgeev_refuses_what_it_cannot_solve():
     if not _has_dgeev():
         pytest.skip("numpy's OpenBLAS or its dgeev was not found")
@@ -190,10 +247,14 @@ def test_solve_allocates_no_copy_of_the_generator():
             spec = diagonalize(s, vectors=vectors)
             peak = tracemalloc.get_traced_memory()[1] - before
             if vectors:
-                # V, the real eigenvectors dgeev writes, and one block of
-                # columns being unpacked
-                blocks = 3 * 8 * n * spectral._MODE_BLOCK
-                assert peak <= spec.right_modes.nbytes + real_nn + blocks
+                # the real eigenvectors dgeev writes (VR, padded as the solver
+                # lays it out), LAPACK's workspace, which dtrevc3 sizes at up
+                # to 2 n x 128 entries, and one block of columns being
+                # unpacked for the probe residual; never a complex V
+                workspace = 8 * 2 * n * 128
+                blocks = 4 * 8 * n * spectral._MODE_BLOCK
+                assert peak <= spec.vr.base.nbytes + workspace + blocks
+                assert spec.vr.base.nbytes < real_nn + 8 * n * 64
             else:
                 # eigenvalues, LAPACK's workspace and one block of the
                 # finiteness check
@@ -469,7 +530,9 @@ def test_mode_weight_profile_basics():
     vec[basis.index_of(PauliString.from_label("XYI"))] = 0.8j
     # a mode's profile does not depend on its phase, its norm or the other modes
     modes = np.column_stack([vec, np.exp(0.7j) * vec, 3.0 * vec, np.ones(64)])
-    profiles, norms = weight_profiles(modes, basis)
+    spec = spectral.Spectrum(3, np.zeros(4), modes, order=np.arange(4))
+    profiles, norms, overlaps = weight_profiles(spec, basis)
+    assert overlaps is None
     assert profiles.shape == (4, 4)
     assert np.allclose(profiles.sum(axis=1), 1.0)
     assert profiles[0, 1] == pytest.approx(0.36)
@@ -478,7 +541,7 @@ def test_mode_weight_profile_basics():
     assert np.allclose(profiles[3], [1 / 64, 9 / 64, 27 / 64, 27 / 64])
     assert np.allclose(norms, [1.0, 1.0, 3.0, 8.0])
     with pytest.raises(ValueError):
-        weight_profiles(modes[:63], basis)
+        weight_profiles(spectral.Spectrum(3, np.zeros(4), modes[:63], order=np.arange(4)), basis)
 
 
 def test_diagonal_dissipator_modes_are_weight_pure():
@@ -488,7 +551,7 @@ def test_diagonal_dissipator_modes_are_weight_pure():
     flat = np.eye(k.jump_dimension) * k.mean_diagonal_target
     l_d = build_dissipator(flat, jump_operator_set(num_sites, 2), basis)
     spec = diagonalize(l_d)
-    profiles, _ = weight_profiles(spec.right_modes, basis)
+    profiles, _, _ = weight_profiles(spec, basis)
     assert profiles.max(axis=1).min() > 1.0 - 1e-10
 
 
@@ -659,7 +722,7 @@ def test_persistence_weight_threshold_excludes_mixed_modes():
     assert group.counts == (2, 2)
     assert group.persistent_count == 1  # the weight-2 intruder fails the profile cut
     # profiles the caller has read already give the same report
-    read = weight_profiles(sweep[-1][1].right_modes, basis)
+    read = weight_profiles(sweep[-1][1], basis)
     (again,) = persistent_modes(sweep, basis, [(1, -0.5)], profiles=read).groups
     assert again.counts == group.counts
     assert [(m.index, m.profile.tolist()) for m in again.modes] == [
@@ -757,7 +820,7 @@ def test_evolution_requires_diagonalizable_spectrum():
 
     eigs = np.zeros(16, dtype=complex)
     # singular right modes: the lazy inverse fails and leaves no left system
-    bad = Spectrum(2, eigs, np.zeros((16, 16), dtype=complex))
+    bad = Spectrum(2, eigs, np.zeros((16, 16), dtype=complex), order=np.arange(16))
     assert bad.left_modes is None
     assert bad.biorth_residual == np.inf
     assert not bad.diagonalizable
