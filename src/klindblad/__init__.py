@@ -65,7 +65,6 @@ from .spectral import (
     CptpReport,
     CsrHistogram,
     Density2D,
-    PersistenceReport,
     Spectrum,
     cluster_by_centers,
     commutant_basis,
@@ -82,6 +81,7 @@ from .spectral import (
     spectral_density,
     unitary_eigenvalues,
     weight_profiles,
+    window_counts,
 )
 
 __version__ = "0.1.0"

@@ -51,6 +51,7 @@ from .ensemble import (
     STREAM_HAMILTONIAN,
     STREAM_KOSSAKOWSKI,
     HEISENBERG_PBC,
+    HEISENBERG_MIN_SITES,
     KossakowskiSample,
     RANDOM_ALL_TO_ALL,
     hamiltonian_to_json_dict,
@@ -76,6 +77,7 @@ from .openblas import environment, one_blas_thread
 from .pauli import PauliBasis
 from .perturbation import predict
 from .spectral import (
+    STEADY_TOL,
     ClusterReport,
     CsrHistogram,
     Spectrum,
@@ -92,9 +94,10 @@ from .spectral import (
     spectral_density,
     unitary_eigenvalues,
     weight_profiles,
+    window_counts,
 )
 
-MIN_SITES = 2
+MIN_SITES = {RANDOM_ALL_TO_ALL: 2, HEISENBERG_PBC: HEISENBERG_MIN_SITES}
 
 # Without --allow-large a run that builds a generator, 4^l on a side, has at
 # most 6 sites.  Every run samples and digests K, an n x n Haar matrix over
@@ -151,8 +154,11 @@ class ExperimentConfig:
             raise ConfigError(f"invalid settings (wrong type or not finite): {', '.join(wrong)}")
         if self.seed < 0:
             raise ConfigError(f"the seed must be a non-negative integer, got {self.seed}")
-        if self.sites < MIN_SITES:
-            raise ConfigError(f"need at least {MIN_SITES} sites, got {self.sites}")
+        if self.hamiltonian not in MIN_SITES:
+            raise ConfigError(f"unknown hamiltonian kind {self.hamiltonian!r}")
+        if self.sites < MIN_SITES[self.hamiltonian]:
+            raise ConfigError(f"a {self.hamiltonian} hamiltonian needs at least "
+                              f"{MIN_SITES[self.hamiltonian]} sites, got {self.sites}")
         if not 1 <= self.k_max <= self.sites:
             raise ConfigError(f"k_max {self.k_max} out of range for {self.sites} sites")
         channels = kossakowski_dimension(self.sites, self.k_max)
@@ -161,8 +167,6 @@ class ExperimentConfig:
                 f"K over {channels} jump channels exceeds the {MAX_CHANNELS}-channel "
                 f"guardrail; lower --kmax or pass --allow-large"
             )
-        if self.hamiltonian not in (RANDOM_ALL_TO_ALL, HEISENBERG_PBC):
-            raise ConfigError(f"unknown hamiltonian kind {self.hamiltonian!r}")
         if self.alphas is not None and self.betas is not None:
             raise ConfigError("alpha and beta lists are mutually exclusive")
         for name, values in (("alpha", self.alphas), ("beta", self.betas)):
@@ -178,6 +182,9 @@ class ExperimentConfig:
             raise ConfigError("histogram bin counts must be at least 1")
         if self.workers < 1:
             raise ConfigError("worker count must be at least 1")
+        if not (self.window > 0 and 0 <= self.weight_threshold <= 1):
+            raise ConfigError(f"persistence needs a positive window and a weight threshold in "
+                              f"[0, 1], got {self.window} and {self.weight_threshold}")
         if not self.out:
             raise ConfigError("an output directory is required")
 
@@ -285,16 +292,17 @@ class Realization:
         """``{coupling: read(coupling, spectrum)}`` of alpha * L_U + L_D over
         the alpha list, else of L_U + beta * L_D over the beta list (beta = 0
         from the levels of H).  The couplings in ``vectors`` keep their right
-        modes and, the longest solves, go first.  The parts are built before
-        ``map`` spreads the couplings, so K and the basis are cached by then:
-        ``cached_property`` holds no lock from Python 3.12 on."""
+        modes and, the longest solves, go first; each spectrum is freed as
+        its ``read`` returns.  The parts are built before ``map`` spreads the
+        couplings, so K and the basis are cached by then: ``cached_property``
+        holds no lock from Python 3.12 on."""
         weak = self.cfg.alphas is None
         couplings = self.cfg.betas if weak else self.cfg.alphas
         parts = self.generators() if not weak or any(couplings) else None
 
         def solve(coupling: float):
             if weak and coupling == 0:
-                return read(coupling, Spectrum(self.cfg.sites, unitary_eigenvalues(self.h)))
+                return read(coupling, Spectrum(unitary_eigenvalues(self.h)))
             # unnamed, the generator is freed as the solve returns, before ``read``
             scale = {"dissipator" if weak else "unitary": coupling}
             spectrum = diagonalize(assemble(*parts, **scale), vectors=coupling in vectors)
@@ -499,7 +507,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 def _beta_worker(rz: Realization) -> dict:
     def read(beta: float, spectrum: Spectrum) -> dict:
         eigs = spectrum.eigenvalues
-        labels = ["steady" if abs(v) < 1e-8 else _EMPTY for v in eigs]
+        labels = ["steady" if abs(v) < STEADY_TOL else _EMPTY for v in eigs]
         return {
             "rows": _eigen_rows(rz.cfg.seed, beta, eigs, labels, None, None, rz.cfg.sites),
             "mean_re": float(eigs.real.mean()),
@@ -594,18 +602,45 @@ def _heisenberg_worker(refs: list[tuple[str, np.ndarray]], rz: Realization) -> d
     cfg, basis = rz.cfg, rz.basis
     alphas = sorted(cfg.alphas)
     probe = random_weight_operator(basis, 2, rz.stream(STREAM_ANALYSIS))
-    # right modes only at the strongest coupling, where persistence is read
-    solved = rz.spectra(lambda a, s: (s, *_labelled_rows(rz, a, s, probe)), vectors=alphas[-1:])
     centers = [(kk, lambda0(kk, cfg.sites, cfg.k_max)) for kk in range(1, cfg.sites + 1)]
-    # the strongest coupling's profiles, read for its rows already
-    persistence = persistent_modes(
-        [(alpha, solved[alpha][0]) for alpha in alphas], basis, centers, window=cfg.window,
-        weight_threshold=cfg.weight_threshold, reference_operators=refs,
-        profiles=solved[alphas[-1]][3])
-    return {
-        "rows": {alpha: solved[alpha][1] for alpha in alphas},
-        "persistence": _persistence_payload(persistence),
+
+    def read(alpha: float, spectrum: Spectrum) -> tuple:
+        # right modes only at the strongest coupling: its persistent modes are
+        # read here, from the profiles its rows used, and freed with it
+        rows, _, weights = _labelled_rows(rz, alpha, spectrum, probe)
+        groups = None if weights is None else persistent_modes(
+            spectrum, weights, basis, centers, refs, cfg.window, cfg.weight_threshold)
+        return rows, spectrum.eigenvalues, groups
+
+    solved = rz.spectra(read, vectors=alphas[-1:])
+    rows, eigs, groups = zip(*(solved[alpha] for alpha in alphas))
+    degenerate, counts = window_counts(eigs, centers, cfg.window)
+    persistence = {
+        "alphas": alphas,
+        "window": cfg.window,
+        "weight_threshold": cfg.weight_threshold,
+        "degenerate_input": degenerate,
+        "total_persistent": sum(len(modes) for _, _, modes in groups[-1]),
+        "groups": [
+            {
+                "label": label,
+                "center": center,
+                "counts": list(group_counts),
+                "modes": [
+                    {
+                        "eigenvalue_re": m.eigenvalue.real,
+                        "eigenvalue_im": m.eigenvalue.imag,
+                        "profile": [float(v) for v in m.profile],
+                        "best_reference": dict(zip(("name", "overlap"), m.best_reference)),
+                        "span_overlap": m.span_overlap,
+                    }
+                    for m in modes
+                ],
+            }
+            for (label, center, modes), group_counts in zip(groups[-1], counts)
+        ],
     }
+    return {"rows": dict(zip(alphas, rows)), "persistence": persistence}
 
 
 def _heisenberg_structure(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
@@ -627,36 +662,6 @@ def _heisenberg_structure(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
             emb[sector] = elements[:, i]
             refs.append((f"w{weight}_{i}", emb))
     return refs, commutant_dims, _structure_payload(unitary_pauli_matrix(h, basis), basis)
-
-
-def _persistence_payload(report) -> dict:
-    return {
-        "alphas": list(report.alphas),
-        "window": report.window,
-        "weight_threshold": report.weight_threshold,
-        "degenerate_input": report.degenerate_input,
-        "total_persistent": report.total_persistent,
-        "groups": [
-            {
-                "label": g.label,
-                "center": g.center,
-                "counts": list(g.counts),
-                "modes": [
-                    {
-                        "eigenvalue_re": m.eigenvalue.real,
-                        "eigenvalue_im": m.eigenvalue.imag,
-                        "profile": [float(v) for v in m.profile],
-                        "best_reference": None
-                        if m.best_reference is None
-                        else {"name": m.best_reference[0], "overlap": m.best_reference[1]},
-                        "span_overlap": m.span_overlap,
-                    }
-                    for m in g.modes
-                ],
-            }
-            for g in report.groups
-        ],
-    }
 
 
 def _structure_payload(l_u: SparseSuperoperator, basis: PauliBasis) -> dict:

@@ -30,6 +30,7 @@ __all__ = [
     "HamiltonianSpec",
     "RANDOM_ALL_TO_ALL",
     "HEISENBERG_PBC",
+    "HEISENBERG_MIN_SITES",
     "kossakowski_dimension",
     "random_coupling_sigma",
     "sample_kossakowski",
@@ -47,6 +48,8 @@ STREAM_ANALYSIS = 2
 
 RANDOM_ALL_TO_ALL = "random"
 HEISENBERG_PBC = "heisenberg"
+# the smallest ring on which the bond list has no duplicates
+HEISENBERG_MIN_SITES = 3
 
 
 def substream(master_seed: int, realization: int, stream: int) -> np.random.Generator:
@@ -201,11 +204,10 @@ def sample_random_hamiltonian(
 def heisenberg_hamiltonian(num_sites: int) -> HamiltonianSpec:
     """XXX chain with periodic boundary, J = 1/sqrt(3 l) on every bond.
 
-    The coupling makes Tr H^2 = 2^num_sites exact.  Three sites is the
-    smallest ring on which the bond list has no duplicates.
+    The coupling makes Tr H^2 = 2^num_sites exact.
     """
-    if num_sites < 3:
-        raise ValueError(f"periodic chain needs at least 3 sites, got {num_sites}")
+    if num_sites < HEISENBERG_MIN_SITES:
+        raise ValueError(f"a ring needs at least {HEISENBERG_MIN_SITES} sites, got {num_sites}")
     j = 1.0 / sqrt(3.0 * num_sites)
     coeffs: dict[PauliString, float] = {}
     for i in range(num_sites):

@@ -1,23 +1,23 @@
 """Spectral analysis of dense superoperators.
 
-Everything downstream of an eigendecomposition lives here: biorthogonal
-mode pairs, the closed-form spectrum of the commutator generator L_U from
-the levels of H, trace-preservation and symmetry sanity reports, cluster
-bookkeeping against predicted centers, complex spacing ratios with
-synthetic references, operator-weight profiles of eigenmodes, commutant
-bases, persistence tracking across a coupling sweep, spectral density
-histograms, and expectation-value evolution from the mode expansion.  The
-weight profiles of all modes come from one reader, :func:`weight_profiles`,
-which the eigenvalue tables and the persistence report both use, so the two
-give one mode the same floats.
+Everything downstream of an eigendecomposition lives here: the closed-form
+spectrum of the commutator generator L_U from the levels of H,
+trace-preservation and symmetry sanity reports, cluster bookkeeping against
+predicted centers, complex spacing ratios with synthetic references,
+operator-weight profiles of eigenmodes, commutant bases, persistence across
+a coupling sweep (the strongest coupling's modes, every coupling's window
+counts), spectral density histograms, and expectation-value evolution from
+the mode expansion.  The weight profiles of all modes come from one reader,
+:func:`weight_profiles`, which the eigenvalue tables and the persistent
+modes both use, so the two give one mode the same floats.
 
 Eigenvalue order is canonical throughout: descending real part, then
 ascending imaginary part, so reports and CSV rows are stable for a fixed
 input matrix.  ``diagonalize`` solves a real generator in place with LAPACK
-``dgeev`` and keeps the right modes in its packed real form; every reader
-unpacks them into canonical order one block of columns at a time, so an
-eigenvector solve holds the generator and LAPACK's real eigenvectors, and
-never an n x n complex matrix of modes.
+``dgeev`` and keeps the right modes in its packed real form, which
+``Spectrum.modes`` alone unpacks, in canonical order and a block of columns
+at a time, so an eigenvector solve holds the generator and LAPACK's real
+eigenvectors, and never an n x n complex matrix of modes.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ __all__ = [
     "random_weight_operator",
     "commutant_basis",
     "TrackedMode",
-    "TrackedGroup",
-    "PersistenceReport",
     "persistent_modes",
+    "window_counts",
     "Density2D",
     "spectral_density",
     "density_total_variation",
@@ -81,22 +80,17 @@ PROBE_SEED = 0
 
 @dataclass
 class Spectrum:
-    """Eigendecomposition with biorthogonal left and right modes.
+    """Eigenvalues in canonical order and, if kept, the right modes.
 
     A spectrum that kept its right modes holds them as ``dgeev`` packs them:
     the real eigenvectors ``vr`` and the imaginary parts ``wi`` of the
     eigenvalues, both in solver order, and the canonical ``order``; after a
     complex solve ``vr`` holds ``np.linalg.eig``'s modes and ``wi`` is None.
     Readers unpack canonical columns with ``modes`` or walk them with
-    ``mode_blocks``.  ``diag_residual`` is the probe residual of
-    ``diagonalize``.  ``right_modes`` (columns) and ``left_modes`` (rows,
-    scaled so that left_modes @ right_modes = 1) are unpacked and inverted
-    whole on first read, an O(n^3) step cached with ``biorth_residual`` and
-    ``diagonalizable``, which is False when the left system could not be
-    recovered (near-defective matrix).
+    ``mode_blocks``; nothing else reads the modes.  ``diag_residual`` is the
+    probe residual of ``diagonalize``.
     """
 
-    num_sites: int
     eigenvalues: np.ndarray
     vr: Optional[np.ndarray] = field(default=None, repr=False)
     wi: Optional[np.ndarray] = field(default=None, repr=False)
@@ -149,31 +143,6 @@ class Spectrum:
             cols = slice(lo, lo + _MODE_BLOCK)
             yield cols, self.modes(cols)
 
-    @cached_property
-    def right_modes(self) -> Optional[np.ndarray]:
-        return self.modes(slice(None)) if self.has_modes else None
-
-    @cached_property
-    def left_modes(self) -> Optional[np.ndarray]:
-        if self.right_modes is None:
-            return None
-        try:
-            return np.linalg.inv(self.right_modes)
-        except np.linalg.LinAlgError:
-            return None
-
-    @cached_property
-    def biorth_residual(self) -> float:
-        if self.right_modes is None:
-            return 0.0
-        if self.left_modes is None:
-            return np.inf
-        return float(np.abs(self.left_modes @ self.right_modes - np.eye(self.dim)).max())
-
-    @property
-    def diagonalizable(self) -> bool:
-        return self.biorth_residual < BIORTH_TOL
-
 
 def _fingerprint(matrix: np.ndarray) -> str:
     digest = hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
@@ -213,9 +182,7 @@ def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
     block of columns at a time.  It costs O(n^2) where the full
     max |MV - V Lambda| costs an O(n^3) product, and never exceeds sqrt(n)
     times it.  A residual above ``RESIDUAL_TOL`` * max(1, max |y^T M|)
-    raises ``EigensolverError``.  The left modes are computed when first
-    read; a failed inverse marks the spectrum non-diagonalizable rather than
-    raising, since downstream reports can still use the eigenvalues.
+    raises ``EigensolverError``.
     """
     m = s.matrix
     if vectors:
@@ -245,8 +212,8 @@ def diagonalize(s: Superoperator, vectors: bool = True) -> Spectrum:
     order = _canonical_order(eigs)
     eigs = eigs[order]
     if not vectors:
-        return Spectrum(s.num_sites, eigs)
-    spectrum = Spectrum(s.num_sites, eigs, vr, wi, order)
+        return Spectrum(eigs)
+    spectrum = Spectrum(eigs, vr, wi, order)
     spectrum.diag_residual = max(float(np.abs(y_m @ block - (y @ block) * eigs[cols]).max())
                                  for cols, block in spectrum.mode_blocks())
     scale = max(1.0, float(np.abs(y_m).max()))
@@ -325,8 +292,9 @@ def cptp_checks(spectrum: Spectrum) -> CptpReport:
 
     Checks max Re < ``STEADY_TOL``, the presence of a zero mode (within
     ``STEADY_TOL``), conjugation symmetry of the eigenvalue multiset to the
-    same tolerance, and, when left modes are available, that the zero mode's
-    left partner is the identity functional (the trace).
+    same tolerance, and, when the spectrum kept its modes and they invert,
+    that the zero mode's left partner (its row of the inverse) is the
+    identity functional (the trace).
     """
     eigs = spectrum.eigenvalues
     max_re = float(eigs.real.max())
@@ -334,11 +302,15 @@ def cptp_checks(spectrum: Spectrum) -> CptpReport:
     conj_res = conjugation_residual(eigs)
     overlap: Optional[float] = None
     overlap_ok: Optional[bool] = None
-    if spectrum.left_modes is not None and steady.size:
-        left = spectrum.left_modes[steady[0]]
-        # the identity string owns index 0
-        overlap = float(np.abs(left[0]) / np.linalg.norm(left))
-        overlap_ok = overlap > 1.0 - 1e-8
+    if spectrum.has_modes and steady.size:
+        try:
+            left = np.linalg.inv(spectrum.modes(slice(None)))[steady[0]]
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # the identity string owns index 0
+            overlap = float(np.abs(left[0]) / np.linalg.norm(left))
+            overlap_ok = overlap > 1.0 - 1e-8
     return CptpReport(
         max_re,
         max_re < STEADY_TOL,
@@ -677,106 +649,77 @@ class TrackedMode:
     index: int
     eigenvalue: complex
     profile: np.ndarray
-    best_reference: Optional[tuple[str, float]]
-    span_overlap: Optional[float]
-
-
-@dataclass(frozen=True)
-class TrackedGroup:
-    label: str
-    center: float
-    counts: tuple[int, ...]
-    modes: tuple[TrackedMode, ...]
-
-    @property
-    def persistent_count(self) -> int:
-        return len(self.modes)
-
-
-@dataclass(frozen=True)
-class PersistenceReport:
-    alphas: tuple[float, ...]
-    window: float
-    weight_threshold: float
-    degenerate_input: bool
-    groups: tuple[TrackedGroup, ...]
-
-    @property
-    def total_persistent(self) -> int:
-        return sum(g.persistent_count for g in self.groups)
+    best_reference: tuple[str, float]
+    span_overlap: float
 
 
 def persistent_modes(
-    sweep: Sequence[tuple[float, Spectrum]],
+    spectrum: Spectrum,
+    weights: tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
     basis: PauliBasis,
     centers: Sequence[tuple[Union[int, str], float]],
+    reference_operators: Sequence[tuple[str, np.ndarray]],
     window: float = 0.05,
     weight_threshold: float = 0.8,
-    reference_operators: Optional[Sequence[tuple[str, np.ndarray]]] = None,
-    profiles: Optional[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
-) -> PersistenceReport:
-    """Find eigenvalues that stay pinned to unperturbed centers as the
-    coupling grows.
+) -> list[tuple[str, float, tuple[TrackedMode, ...]]]:
+    """The modes of the strongest coupling that stay pinned to unperturbed
+    centers, as (label, center, modes) per merged center.
 
-    A mode counts as persistent for a center c when, at the largest
-    coupling, it sits within ``window * |c|`` of c and its operator-weight
-    profile (:func:`weight_profiles`) keeps at least ``weight_threshold`` of
-    its mass in the center's weight sectors.  Occupation of each window is
-    also tallied at every sweep point.  Identical spectra across the sweep
-    (for instance a coupling of zero everywhere) make every mode trivially
-    persistent; the report flags that instead of pretending significance.
-    Each persistent mode is scored against the reference operators, given as
-    coefficient vectors over ``basis``, by |<op|mode>| with both sides
-    unit-normalized, and by the norm of its projection on their span.
-    ``profiles``: the largest coupling's :func:`weight_profiles`, if read.
+    A mode of ``spectrum``, which kept its modes, is persistent for a center
+    c when it sits within ``window * |c|`` of c and its operator-weight
+    profile, read from ``weights`` (the spectrum's :func:`weight_profiles`
+    over ``basis``), keeps at least ``weight_threshold`` of its mass in the
+    center's weight sectors.  Each persistent mode is scored against the
+    reference operators, given as coefficient vectors over ``basis``, by
+    |<op|mode>| with both sides unit-normalized, and by the norm of its
+    projection on their span.
     """
-    if len(sweep) < 2:
-        raise ValueError("persistence needs at least 2 sweep points")
-    sweep = sorted(sweep, key=lambda item: item[0])
-    alphas = tuple(alpha for alpha, _ in sweep)
-    final = sweep[-1][1]
-    if not final.has_modes:
-        raise ValueError("the largest-coupling spectrum must carry eigenmodes")
+    if not spectrum.has_modes:
+        raise ValueError("persistence reads a spectrum that kept its modes")
+    stacked = np.column_stack([op for _, op in reference_operators]).astype(complex)
+    q, r = np.linalg.qr(stacked)
+    ortho_span = q[:, np.abs(np.diagonal(r)) > 1e-12]
+    ref_norms = np.linalg.norm(stacked, axis=0)
+    if not ref_norms.all():
+        raise SpectralAnalysisError("zero reference operator")
+    stacked /= ref_norms
 
-    degenerate = len(set(alphas)) < 2
-    if not degenerate:
-        ref = np.sort_complex(sweep[0][1].eigenvalues)
-        degenerate = all(
-            np.abs(np.sort_complex(s.eigenvalues) - ref).max() < 1e-12 for _, s in sweep[1:]
-        )
-
-    if reference_operators:
-        stacked = np.column_stack([op for _, op in reference_operators]).astype(complex)
-        q, r = np.linalg.qr(stacked)
-        ortho_span = q[:, np.abs(np.diagonal(r)) > 1e-12]
-        ref_norms = np.linalg.norm(stacked, axis=0)
-        if not ref_norms.all():
-            raise SpectralAnalysisError("zero reference operator")
-        stacked /= ref_norms
-
-    profiles, norms, _ = profiles or weight_profiles(final, basis)
+    profiles, norms, _ = weights
+    eigs = spectrum.eigenvalues
     groups = []
     for label, center in _merge_centers(centers):
         weights_in_label = {int(w) for w in label.split(",")}
-        radius = window * abs(center)
-        counts = tuple(
-            int(np.sum(np.abs(s.eigenvalues - center) < radius)) for _, s in sweep
-        )
-        kept = [int(i) for i in np.flatnonzero(np.abs(final.eigenvalues - center) < radius)
+        kept = [int(i) for i in np.flatnonzero(np.abs(eigs - center) < window * abs(center))
                 if sum(profiles[i, k - basis.min_weight] for k in weights_in_label)
                 >= weight_threshold]
-        best = span = [None] * len(kept)
-        if reference_operators and kept:
-            unit = final.modes(kept)
-            unit /= norms[kept]
-            overlaps = np.abs(stacked.conj().T @ unit)
-            best = [(reference_operators[j][0], float(overlaps[j, c]))
-                    for c, j in enumerate(overlaps.argmax(axis=0))]
-            span = np.linalg.norm(ortho_span.conj().T @ unit, axis=0).tolist()
-        modes = tuple(TrackedMode(i, complex(final.eigenvalues[i]), profiles[i], b, s)
+        unit = spectrum.modes(kept)
+        unit /= norms[kept]
+        overlaps = np.abs(stacked.conj().T @ unit)
+        best = [(reference_operators[j][0], float(overlaps[j, c]))
+                for c, j in enumerate(overlaps.argmax(axis=0))]
+        span = np.linalg.norm(ortho_span.conj().T @ unit, axis=0).tolist()
+        modes = tuple(TrackedMode(i, complex(eigs[i]), profiles[i], b, s)
                       for i, b, s in zip(kept, best, span))
-        groups.append(TrackedGroup(label, center, counts, modes))
-    return PersistenceReport(alphas, window, weight_threshold, degenerate, tuple(groups))
+        groups.append((label, center, modes))
+    return groups
+
+
+def window_counts(
+    sweep: Sequence[np.ndarray],
+    centers: Sequence[tuple[Union[int, str], float]],
+    window: float = 0.05,
+) -> tuple[bool, list[tuple[int, ...]]]:
+    """Whether a coupling sweep's eigenvalue sets are all one set, which
+    makes every mode trivially persistent, and for each merged center c (in
+    :func:`persistent_modes` order) the number of eigenvalues within
+    ``window * |c|`` of c at every sweep point."""
+    if len(sweep) < 2:
+        raise ValueError("persistence needs at least 2 sweep points")
+    ref = np.sort_complex(sweep[0])
+    degenerate = all(np.abs(np.sort_complex(eigs) - ref).max() < 1e-12 for eigs in sweep[1:])
+    counts = [tuple(int(np.sum(np.abs(eigs - center) < window * abs(center))) for eigs in sweep)
+              for _, center in _merge_centers(centers)]
+    return degenerate, counts
 
 
 # --- spectral density -------------------------------------------------------
@@ -848,11 +791,20 @@ def evolve_expectation(
     <O>(t) = sum_i <O|R_i> (L_i rho0) exp(lambda_i t), requiring the
     biorthogonal pair; at t = 0 this telescopes back to <O|rho0>.  The
     observable vector is vec(O) for a Hermitian O in the spectrum's basis.
+    The left modes L are the inverse of the right ones; a spectrum that
+    kept no modes, or whose L misses L R = 1 by ``BIORTH_TOL``, has none.
     """
-    if not spectrum.diagonalizable or spectrum.left_modes is None:
+    if not spectrum.has_modes:
+        raise SpectralAnalysisError("the spectrum kept no modes; no mode expansion")
+    right = spectrum.modes(slice(None))
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralAnalysisError("singular right modes; no mode expansion") from exc
+    if not np.abs(left @ right - np.eye(spectrum.dim)).max() < BIORTH_TOL:
         raise SpectralAnalysisError("spectrum is not diagonalizable; no mode expansion")
-    obs_row = np.conj(np.asarray(obs_vec, dtype=complex)) @ spectrum.right_modes
-    init_col = spectrum.left_modes @ np.asarray(rho0_vec, dtype=complex)
+    obs_row = np.conj(np.asarray(obs_vec, dtype=complex)) @ right
+    init_col = left @ np.asarray(rho0_vec, dtype=complex)
     weights = obs_row * init_col
     t = np.asarray(list(times), dtype=float)
     phases = np.exp(np.outer(t, spectrum.eigenvalues))

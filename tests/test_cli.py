@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -506,26 +507,37 @@ def test_alpha_and_beta_mutually_exclusive(tmp_path):
                "--beta", "0.1", "--out", tmp_path / "run") == 2
 
 
+HEISENBERG = ["heisenberg", "--seed", 1, "--alpha", "1,2"]
+
+
 @pytest.mark.parametrize(
     "settings, args",
     [
-        pytest.param({}, ["--seed", -1], id="negative-seed"),
-        pytest.param({"seed": 1.5}, [], id="float-seed"),
-        pytest.param({"seed": True}, [], id="bool-seed"),
-        pytest.param({"sites": "3"}, ["--seed", 1], id="string-sites"),
-        pytest.param({"alphas": 0.1}, ["--seed", 1], id="scalar-alphas"),
-        pytest.param({"alphas": ["0.1"]}, ["--seed", 1], id="string-alpha"),
-        pytest.param({"window": "wide"}, ["--seed", 1], id="string-window"),
-        pytest.param({"gnuplot": 1}, ["--seed", 1], id="int-flag"),
-        pytest.param({}, ["--seed", 1, "--alpha", "nan"], id="nan-alpha"),
-        pytest.param({}, ["--seed", 1, "--alpha", "0.1,inf"], id="inf-alpha"),
-        pytest.param({}, ["--seed", 1, "--window", "nan"], id="nan-window"),
+        pytest.param({}, ["csr", "--seed", -1], id="negative-seed"),
+        pytest.param({"seed": 1.5}, ["csr"], id="float-seed"),
+        pytest.param({"seed": True}, ["csr"], id="bool-seed"),
+        pytest.param({"sites": "3"}, ["csr", "--seed", 1], id="string-sites"),
+        pytest.param({"alphas": 0.1}, ["csr", "--seed", 1], id="scalar-alphas"),
+        pytest.param({"alphas": ["0.1"]}, ["csr", "--seed", 1], id="string-alpha"),
+        pytest.param({"window": "wide"}, ["csr", "--seed", 1], id="string-window"),
+        pytest.param({"gnuplot": 1}, ["csr", "--seed", 1], id="int-flag"),
+        pytest.param({}, ["csr", "--seed", 1, "--alpha", "nan"], id="nan-alpha"),
+        pytest.param({}, ["csr", "--seed", 1, "--alpha", "0.1,inf"], id="inf-alpha"),
+        pytest.param({}, ["csr", "--seed", 1, "--window", "nan"], id="nan-window"),
+        pytest.param({}, [*HEISENBERG, "--sites", 2], id="two-site-ring"),
+        pytest.param({}, ["spectrum", "--sites", 2, "--hamiltonian", "heisenberg",
+                          "--alpha", 1, "--seed", 1], id="two-site-ring-spectrum"),
+        pytest.param({}, [*HEISENBERG, "--window", -1], id="negative-window"),
+        pytest.param({}, [*HEISENBERG, "--window", 0], id="zero-window"),
+        pytest.param({}, [*HEISENBERG, "--weight-threshold", 7], id="threshold-above-1"),
+        pytest.param({}, [*HEISENBERG, "--weight-threshold", -0.1], id="threshold-below-0"),
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, settings, args):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sites": 3, "alphas": [0.1], **settings}))
-    assert run("csr", "--config", cfg, *args, "--out", tmp_path / "run") == 2
+    command, *flags = args
+    assert run(command, "--config", cfg, *flags, "--out", tmp_path / "run") == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -665,29 +677,34 @@ def test_spectra_builds_the_parts_once_and_solves_the_vector_couplings_first(mon
     cfg = cli.ExperimentConfig(sites=3, seed=1, out="unused", alphas=(0.1, 0.5, 2.0))
     rz = cli.Realization(cfg, 0, recording_map)
     read = []
-    spectra = rz.spectra(lambda alpha, spectrum: read.append(alpha) or spectrum, vectors=(2.0,))
+
+    def reader(coupling, spectrum):
+        read.append(coupling)
+        return spectrum.has_modes, spectrum.eigenvalues
+
+    spectra = rz.spectra(reader, vectors=(2.0,))
     assert mapped == [[2.0, 0.1, 0.5]] and read == [2.0, 0.1, 0.5]
     assert built == ["build_unitary_part", "dissipator_factor"]
-    assert {a for a, s in spectra.items() if s.has_modes} == {2.0}
+    assert {a for a, (kept, _) in spectra.items() if kept} == {2.0}
     want = cli.diagonalize(assemble(*rz.generators(), unitary=0.5), vectors=False)
-    assert np.array_equal(spectra[0.5].eigenvalues, want.eigenvalues)
+    assert np.array_equal(spectra[0.5][1], want.eigenvalues)
 
     # a beta list: the parts once, beta = 0 from the levels of H, no modes
     built.clear()
     cfg = cli.ExperimentConfig(sites=3, seed=1, out="unused", betas=(0.0, 0.05))
     rz = cli.Realization(cfg, 0, recording_map)
-    spectra = rz.spectra(lambda beta, spectrum: spectrum)
+    spectra = rz.spectra(reader)
     assert mapped[-1] == [0.0, 0.05]
     assert built == ["build_unitary_part", "dissipator_factor", "unitary_eigenvalues"]
-    assert not any(s.has_modes for s in spectra.values())
-    assert np.array_equal(spectra[0.0].eigenvalues, cli.unitary_eigenvalues(rz.h))
+    assert not any(kept for kept, _ in spectra.values())
+    assert np.array_equal(spectra[0.0][1], cli.unitary_eigenvalues(rz.h))
     want = cli.diagonalize(assemble(*rz.generators(), dissipator=0.05), vectors=False)
-    assert np.array_equal(spectra[0.05].eigenvalues, want.eigenvalues)
+    assert np.array_equal(spectra[0.05][1], want.eigenvalues)
 
     # beta = 0 alone builds no part
     built.clear()
     cfg = cli.ExperimentConfig(sites=3, seed=1, out="unused", betas=(0.0,))
-    cli.Realization(cfg, 0).spectra(lambda beta, spectrum: spectrum)
+    cli.Realization(cfg, 0).spectra(reader)
     assert built == ["unitary_eigenvalues"]
 
 
@@ -759,14 +776,51 @@ def test_heisenberg_never_holds_a_complex_copy_of_the_modes(tmp_path, monkeypatc
     # an eigenvector solve holds the generator and LAPACK's real
     # eigenvectors; every reader unpacks a block of columns at a time, and
     # nothing on a run's path unpacks the modes whole
-    def whole(spectrum):
-        raise AssertionError("the right modes were unpacked whole")
+    modes = Spectrum.modes
 
-    monkeypatch.setattr(Spectrum, "right_modes", property(whole))
+    def in_blocks(spectrum, cols):
+        if np.arange(spectrum.dim)[cols].size == spectrum.dim:
+            raise AssertionError("the right modes were unpacked whole")
+        return modes(spectrum, cols)
+
+    monkeypatch.setattr(Spectrum, "modes", in_blocks)
     code, peak = _traced(lambda: run("heisenberg", "--sites", 5, "--alpha", "1,32",
                                      "--workers", 1, "--seed", 1, "--out", tmp_path / "run"))
     assert code == 0
     assert peak < 3.5 * 8 * 4**10
+
+
+def test_no_spectrum_with_modes_outlives_its_read(tmp_path, monkeypatch):
+    # the strongest coupling's persistent modes are read inside its read,
+    # so its modes are freed before any other coupling is solved
+    kept, alive_at_solve = [], []
+    diagonalize = cli.diagonalize
+
+    def alive():
+        return sum(ref() is not None for ref in kept)
+
+    def recording(s, vectors=True):
+        alive_at_solve.append(alive())
+        spectrum = diagonalize(s, vectors)
+        if spectrum.has_modes:
+            kept.append(weakref.ref(spectrum))
+        return spectrum
+
+    monkeypatch.setattr(cli, "diagonalize", recording)
+    assert run("heisenberg", "--sites", 4, "--alpha", "1,2,32", "--workers", 1,
+               "--seed", 1, "--out", tmp_path / "run") == 0
+    assert len(kept) == 1
+    assert alive_at_solve == [0, 0, 0]
+    assert alive() == 0
+
+
+def test_identical_spectra_are_flagged_degenerate(tmp_path):
+    # couplings too weak to move an eigenvalue leave every spectrum that of L_D
+    out = tmp_path / "run"
+    assert run("heisenberg", "--sites", 3, "--alpha", "1e-300,2e-300", "--seed", 1,
+               "--out", out) == 0
+    persistence = json.loads((out / "persistence_r000.json").read_text())
+    assert persistence["degenerate_input"] is True
 
 
 def test_module_entry_point(tmp_path):

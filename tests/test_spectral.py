@@ -47,6 +47,7 @@ from klindblad.spectral import (
     spectral_density,
     unitary_eigenvalues,
     weight_profiles,
+    window_counts,
 )
 
 from conftest import pairing_distance
@@ -70,23 +71,7 @@ def full_liouvillian(num_sites, alpha, k_seed=21, h_seed=32, basis_form="pauli")
 # --- eigendecomposition -----------------------------------------------------
 
 
-def test_diagonalize_invariants():
-    s = full_liouvillian(3, 0.5)
-    m = s.matrix.copy()  # diagonalize consumes s.matrix
-    spec = diagonalize(s)
-    assert spec.dim == 64
-    residual = np.abs(m @ spec.right_modes - spec.right_modes * spec.eigenvalues).max()
-    assert residual < 1e-8
-    # the probe residual of one unit vector is bounded by sqrt(n) times the full one
-    assert spec.diag_residual < 1e-8
-    assert spec.diag_residual <= residual * np.sqrt(64)
-    # the left system is built on first access
-    assert spec.diagonalizable
-    assert np.abs(spec.left_modes @ spec.right_modes - np.eye(64)).max() < 1e-8
-    assert spec.biorth_residual < 1e-8
-
-
-def test_left_modes_are_computed_on_first_access(monkeypatch):
+def test_diagonalize_invariants(monkeypatch):
     inversions = []
     inv = np.linalg.inv
 
@@ -95,13 +80,22 @@ def test_left_modes_are_computed_on_first_access(monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    spec = diagonalize(full_liouvillian(3, 0.5))
+    s = full_liouvillian(3, 0.5)
+    m = s.matrix.copy()  # diagonalize consumes s.matrix
+    spec = diagonalize(s)
+    assert spec.dim == 64
+    right = spec.modes(slice(None))
+    residual = np.abs(m @ right - right * spec.eigenvalues).max()
+    assert residual < 1e-8
+    # the probe residual of one unit vector is bounded by sqrt(n) times the full one
+    assert spec.diag_residual < 1e-8
+    assert spec.diag_residual <= residual * np.sqrt(64)
+    # a solve inverts nothing; the left modes are the inverse of the right ones
     assert inversions == []
+    assert np.abs(inv(right) @ right - np.eye(64)).max() < 1e-8
+    # cptp_checks inverts the modes where it reads the steady mode's left partner
     report = cptp_checks(spec)
-    assert report.steady_identity_overlap > 1 - 1e-8
     assert report.max_re_ok and report.conjugation_ok and report.steady_identity_ok
-    assert spec.left_modes is spec.left_modes
-    assert spec.diagonalizable
     assert inversions == [(64, 64)]
 
 
@@ -158,9 +152,10 @@ def test_solve_gives_the_bits_of_numpy(case, library, monkeypatch):
     got = diagonalize(s)
     assert got.eigenvalues.dtype == want.dtype
     assert got.eigenvalues.tobytes() == want[order].tobytes()
-    assert got.right_modes.dtype == right.dtype
-    assert got.right_modes.flags.f_contiguous
-    assert got.right_modes.tobytes() == right[:, order].tobytes()
+    whole = got.modes(slice(None))
+    assert whole.dtype == right.dtype
+    assert whole.flags.f_contiguous
+    assert whole.tobytes() == right[:, order].tobytes()
     # the in-place solve leaves the Schur form where the generator was; a
     # diagonal matrix is its own Schur form
     overwritten = in_place and case[0] != "real-spectrum"
@@ -176,9 +171,9 @@ def _reader_cases():
     yield "complex-input", 3, lambda: full_liouvillian(3, 0.5).matrix.astype(complex)
 
 
-def _persistence_bits(report):
-    return [(g.label, g.counts, [(m.index, m.eigenvalue, m.profile.tobytes(), m.best_reference,
-                                  m.span_overlap) for m in g.modes]) for g in report.groups]
+def _persistence_bits(groups):
+    return [(label, center, [(m.index, m.eigenvalue, m.profile.tobytes(), m.best_reference,
+                              m.span_overlap) for m in modes]) for label, center, modes in groups]
 
 
 @pytest.mark.parametrize("case", list(_reader_cases()), ids=lambda case: case[0])
@@ -199,7 +194,7 @@ def test_block_readers_give_the_bits_of_the_whole_modes(case):
     rng = np.random.default_rng(5)
     probe = random_weight_operator(basis, 2, rng)
     # a spectrum that holds the whole modes, as one that kept them used to
-    held = spectral.Spectrum(num_sites, spec.eigenvalues, whole, order=np.arange(n))
+    held = spectral.Spectrum(spec.eigenvalues, whole, order=np.arange(n))
     profiles, norms, overlaps = weight_profiles(spec, basis, probe)
     want_profiles, want_norms, _ = weight_profiles(held, basis)
     assert profiles.tobytes() == want_profiles.tobytes()
@@ -215,9 +210,9 @@ def test_block_readers_give_the_bits_of_the_whole_modes(case):
                for k in range(1, num_sites + 1)]
 
     def report(final):
-        sweep = [(0.0, spectral.Spectrum(num_sites, np.zeros(n))), (1.0, final)]
         return _persistence_bits(persistent_modes(
-            sweep, basis, centers, window=0.2, weight_threshold=0.5, reference_operators=refs))
+            final, weight_profiles(final, basis), basis, centers, refs, window=0.2,
+            weight_threshold=0.5))
 
     got = report(spec)
     assert sum(len(modes) for _, _, modes in got) > 0
@@ -530,7 +525,7 @@ def test_mode_weight_profile_basics():
     vec[basis.index_of(PauliString.from_label("XYI"))] = 0.8j
     # a mode's profile does not depend on its phase, its norm or the other modes
     modes = np.column_stack([vec, np.exp(0.7j) * vec, 3.0 * vec, np.ones(64)])
-    spec = spectral.Spectrum(3, np.zeros(4), modes, order=np.arange(4))
+    spec = spectral.Spectrum(np.zeros(4), modes, order=np.arange(4))
     profiles, norms, overlaps = weight_profiles(spec, basis)
     assert overlaps is None
     assert profiles.shape == (4, 4)
@@ -541,7 +536,7 @@ def test_mode_weight_profile_basics():
     assert np.allclose(profiles[3], [1 / 64, 9 / 64, 27 / 64, 27 / 64])
     assert np.allclose(norms, [1.0, 1.0, 3.0, 8.0])
     with pytest.raises(ValueError):
-        weight_profiles(spectral.Spectrum(3, np.zeros(4), modes[:63], order=np.arange(4)), basis)
+        weight_profiles(spectral.Spectrum(np.zeros(4), modes[:63], order=np.arange(4)), basis)
 
 
 def test_diagonal_dissipator_modes_are_weight_pure():
@@ -570,7 +565,7 @@ def test_operator_overlap_properties():
     basis = PauliBasis(2)
     eigs = np.full(16, -2.0)
     eigs[[1, 2]] = -0.5
-    sweep = [(1.0, fabricated_spectrum(eigs, basis)), (2.0, fabricated_spectrum(eigs, basis))]
+    spec = fabricated_spectrum(eigs, basis)
     weight1 = np.zeros(16)
     weight1[1:7] = 1.0
     weight2 = np.zeros(16)
@@ -578,11 +573,11 @@ def test_operator_overlap_properties():
 
     def scores(reference_operators):
         """(best reference, span overlap) by the string each mode is."""
-        report = persistent_modes(sweep, basis, [(1, -0.5)],
-                                  reference_operators=reference_operators)
-        modes = sweep[-1][1].right_modes
+        ((_, _, tracked),) = persistent_modes(spec, weight_profiles(spec, basis), basis,
+                                              [(1, -0.5)], reference_operators)
+        modes = spec.modes(slice(None))
         return {int(np.abs(modes[:, m.index]).argmax()): (m.best_reference, m.span_overlap)
-                for m in report.groups[0].modes}
+                for m in tracked}
 
     # |<op|mode>| with both sides unit-normalized, whatever the operator's norm
     assert scores([("w2", 3.0 * weight2), ("w1", 5.0 * weight1)]) == {
@@ -689,21 +684,22 @@ def test_persistence_tracker_on_fabricated_sweep():
     base[4] = -0.52  # weight-1 slot: wanders out by the final coupling
     drifted = base.copy()
     drifted[4] = -0.9
-    sweep = [(1.0, fabricated_spectrum(base, basis)), (4.0, fabricated_spectrum(drifted, basis))]
+    final = fabricated_spectrum(drifted, basis)
     ref = np.zeros(16)
     ref[1] = 1.0
-    report = persistent_modes(
-        sweep, basis, [(1, center)], reference_operators=[("probe", ref)]
-    )
-    assert not report.degenerate_input
-    (group,) = report.groups
-    assert group.counts == (3, 2)
-    assert group.persistent_count == 2
-    names = {m.best_reference[0] for m in group.modes}
+    degenerate, counts = window_counts([fabricated_spectrum(base, basis).eigenvalues,
+                                        final.eigenvalues], [(1, center)])
+    assert not degenerate
+    assert counts == [(3, 2)]
+    ((label, got_center, modes),) = persistent_modes(
+        final, weight_profiles(final, basis), basis, [(1, center)], [("probe", ref)])
+    assert (label, got_center) == ("1", center)
+    assert len(modes) == 2
+    names = {m.best_reference[0] for m in modes}
     assert names == {"probe"}
-    best = max(m.best_reference[1] for m in group.modes)
+    best = max(m.best_reference[1] for m in modes)
     assert best == pytest.approx(1.0)
-    spans = sorted(m.span_overlap for m in group.modes)
+    spans = sorted(m.span_overlap for m in modes)
     assert spans[0] == pytest.approx(0.0, abs=1e-12)
     assert spans[1] == pytest.approx(1.0)
 
@@ -713,43 +709,40 @@ def test_persistence_weight_threshold_excludes_mixed_modes():
     eigs = np.full(16, -2.0, dtype=complex)
     eigs[3] = -0.5  # weight-1 slot
     eigs[9] = -0.5  # weight-2 slot inside the weight-1 window
-    sweep = [
-        (1.0, fabricated_spectrum(eigs - 0.001j, basis)),
-        (2.0, fabricated_spectrum(eigs, basis)),
-    ]
-    report = persistent_modes(sweep, basis, [(1, -0.5)])
-    (group,) = report.groups
-    assert group.counts == (2, 2)
-    assert group.persistent_count == 1  # the weight-2 intruder fails the profile cut
-    # profiles the caller has read already give the same report
-    read = weight_profiles(sweep[-1][1], basis)
-    (again,) = persistent_modes(sweep, basis, [(1, -0.5)], profiles=read).groups
-    assert again.counts == group.counts
-    assert [(m.index, m.profile.tolist()) for m in again.modes] == [
-        (m.index, m.profile.tolist()) for m in group.modes]
+    final = fabricated_spectrum(eigs, basis)
+    _, counts = window_counts([eigs - 0.001j, final.eigenvalues], [(1, -0.5)])
+    assert counts == [(2, 2)]
+    profiles = weight_profiles(final, basis)
+    refs = [("w1", np.eye(16)[3])]
+    ((_, _, modes),) = persistent_modes(final, profiles, basis, [(1, -0.5)], refs)
+    # the weight-2 intruder fails the profile cut
+    assert [m.profile.tolist() for m in modes] == [[0.0, 1.0, 0.0]]
+    ((_, _, modes),) = persistent_modes(final, profiles, basis, [(1, -0.5)], refs,
+                                        weight_threshold=0.0)
+    assert sorted(m.profile.tolist() for m in modes) == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 
 
 def test_persistence_flags_degenerate_sweep():
-    basis = PauliBasis(2)
     eigs = np.linspace(-1.5, -0.1, 16).astype(complex)
-    spec = fabricated_spectrum(eigs, basis)
-    report = persistent_modes([(0.0, spec), (0.0, spec)], basis, [(1, -0.5)])
-    assert report.degenerate_input
-    # distinct couplings with identical spectra are just as meaningless
-    report = persistent_modes([(0.0, spec), (1.0, spec)], basis, [(1, -0.5)])
-    assert report.degenerate_input
+    # identical spectra at distinct couplings are meaningless, in any order
+    degenerate, counts = window_counts([eigs, eigs[::-1].copy()], [(1, -0.5)], window=0.1)
+    assert degenerate
+    assert counts == [(1, 1)]
+    degenerate, _ = window_counts([eigs, eigs + 1e-9], [(1, -0.5)])
+    assert not degenerate
 
 
 def test_persistence_argument_validation():
     basis = PauliBasis(2)
     spec = fabricated_spectrum(np.linspace(-1, 0, 16), basis)
     with pytest.raises(ValueError):
-        persistent_modes([(1.0, spec)], basis, [(1, -0.5)])
+        window_counts([spec.eigenvalues], [(1, -0.5)])
     bare = diagonalize(
         Superoperator(2, np.diag(np.linspace(-1, 0, 16)).astype(complex)), vectors=False
     )
     with pytest.raises(ValueError):
-        persistent_modes([(1.0, spec), (2.0, bare)], basis, [(1, -0.5)])
+        persistent_modes(bare, weight_profiles(spec, basis), basis, [(1, -0.5)],
+                         [("w1", np.eye(16)[1])])
 
 
 # --- spectral density -------------------------------------------------------
@@ -819,12 +812,17 @@ def test_evolution_requires_diagonalizable_spectrum():
     from klindblad.spectral import Spectrum
 
     eigs = np.zeros(16, dtype=complex)
-    # singular right modes: the lazy inverse fails and leaves no left system
-    bad = Spectrum(2, eigs, np.zeros((16, 16), dtype=complex), order=np.arange(16))
-    assert bad.left_modes is None
-    assert bad.biorth_residual == np.inf
-    assert not bad.diagonalizable
+    # singular right modes: the inverse fails, so there is no left system
+    bad = Spectrum(eigs, np.zeros((16, 16), dtype=complex), order=np.arange(16))
     with pytest.raises(SpectralAnalysisError):
         evolve_expectation(bad, np.zeros(16), np.zeros(16), [1.0])
+    # near-defective right modes: the inverse exists but misses biorthogonality
+    hilbert = 1.0 / (np.arange(16)[:, None] + np.arange(16)[None, :] + 1.0)
+    left = np.linalg.inv(hilbert)
+    assert np.abs(left @ hilbert - np.eye(16)).max() > spectral.BIORTH_TOL
+    near = Spectrum(eigs, hilbert.astype(complex), order=np.arange(16))
     with pytest.raises(SpectralAnalysisError):
-        evolve_expectation(Spectrum(2, eigs), np.zeros(16), np.zeros(16), [1.0])
+        evolve_expectation(near, np.zeros(16), np.zeros(16), [1.0])
+    # a spectrum that kept no modes has no expansion
+    with pytest.raises(SpectralAnalysisError):
+        evolve_expectation(Spectrum(eigs), np.zeros(16), np.zeros(16), [1.0])
