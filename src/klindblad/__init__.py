@@ -50,31 +50,22 @@ from .liouvillian import (
     unitary_pauli_matrix,
 )
 from .perturbation import (
-    FirstOrderBlock,
     PerturbationPrediction,
-    WeightGroup,
-    consecutive_degenerate_pair,
-    degenerate_groups,
-    first_order_block,
     h_count,
     predict,
-    second_order_exact,
 )
 from .spectral import (
     ClusterReport,
-    CptpReport,
     CsrHistogram,
     Density2D,
     Spectrum,
     cluster_by_centers,
     commutant_basis,
     complex_spacing_ratios,
-    cptp_checks,
     csr_reference_ginibre,
     csr_reference_poisson,
     density_total_variation,
     diagonalize,
-    evolve_expectation,
     ks_statistic,
     persistent_modes,
     random_weight_operator,

@@ -170,6 +170,8 @@ class ExperimentConfig:
         if self.alphas is not None and self.betas is not None:
             raise ConfigError("alpha and beta lists are mutually exclusive")
         for name, values in (("alpha", self.alphas), ("beta", self.betas)):
+            if any(v < 0 for v in values or ()):
+                raise ConfigError(f"{name} values must be non-negative, got {list(values)}")
             tags = [_tag(v) for v in values or ()]
             if len(set(tags)) < len(tags):
                 raise ConfigError(
@@ -874,6 +876,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = {f for f in ExperimentConfig.__dataclass_fields__}
 
+# The settings only some subcommands read, and those subcommands.
+_READ_BY = {"gnuplot": ("spectrum", "density"), "rescale_im": ("density",),
+            "unitary_only": ("csr",)}
+
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
@@ -897,13 +903,18 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             values[key] = flag_value
     if args.command == "heisenberg":
         values.setdefault("hamiltonian", HEISENBERG_PBC)
+    unread = [key for key, commands in _READ_BY.items()
+              if values.get(key) and args.command not in commands]
+    if unread:
+        raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
     finite = _SETTING_CHECKS["float"]
     for key in ("alphas", "betas"):
         value = values.get(key)
         if value is not None:
             if not isinstance(value, (list, tuple)) or not all(map(finite, value)):
                 raise ConfigError(f"{key} must be a list of finite numbers, got {value!r}")
-            values[key] = tuple(float(v) for v in value)
+            # + 0.0 folds -0.0 into 0.0: one coupling, one solve, one tag
+            values[key] = tuple(float(v) + 0.0 for v in value)
     missing = [key for key in ("sites", "seed", "out") if values.get(key) is None]
     if missing:
         raise ConfigError(f"missing required settings: {', '.join(missing)}")

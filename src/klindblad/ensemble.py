@@ -37,7 +37,6 @@ __all__ = [
     "sample_random_hamiltonian",
     "heisenberg_hamiltonian",
     "dense_hamiltonian",
-    "kossakowski_to_json_dict",
     "kossakowski_json_chunks",
     "hamiltonian_to_json_dict",
 ]
@@ -115,10 +114,6 @@ class KossakowskiSample:
     @property
     def jump_dimension(self) -> int:
         return self.k_matrix.shape[0]
-
-    @property
-    def mean_diagonal_target(self) -> float:
-        return 2.0**self.num_sites / self.jump_dimension
 
 
 def sample_kossakowski(
@@ -234,27 +229,14 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 # emitted as (row, col, re, im) rows.
 
 
-def _kossakowski_header(sample: KossakowskiSample) -> dict:
-    return {"type": "kossakowski", "num_sites": sample.num_sites, "k_max": sample.k_max,
-            "seed": sample.seed, "d_diag": [float(x) for x in sample.d_diag]}
-
-
-def kossakowski_to_json_dict(sample: KossakowskiSample) -> dict:
-    n = sample.jump_dimension
-    entries = []
-    for r in range(n):
-        for c in range(n):
-            v = sample.k_matrix[r, c]
-            entries.append([r, c, float(v.real), float(v.imag)])
-    return {**_kossakowski_header(sample), "k_matrix": entries}
-
-
 def kossakowski_json_chunks(sample: KossakowskiSample) -> Iterator[str]:
-    """``json.dumps(kossakowski_to_json_dict(sample), sort_keys=True)`` in
-    pieces of 64 rows of K each, so that its n^2 entry records never exist
-    at once: the manifest digests K this way."""
-    head, tail = json.dumps({**_kossakowski_header(sample), "k_matrix": []},
-                            sort_keys=True).split('"k_matrix": []')
+    """K's record, the sample's parameters and K's entries in row-major order,
+    as ``json.dumps`` with sorted keys writes it, in pieces of 64 rows of K
+    each, so that its n^2 entry records never exist at once: the manifest
+    digests K this way."""
+    header = {"type": "kossakowski", "num_sites": sample.num_sites, "k_max": sample.k_max,
+              "seed": sample.seed, "d_diag": [float(x) for x in sample.d_diag], "k_matrix": []}
+    head, tail = json.dumps(header, sort_keys=True).split('"k_matrix": []')
     yield head + '"k_matrix": ['
     for lo in range(0, sample.jump_dimension, 64):
         block = sample.k_matrix[lo : lo + 64]

@@ -86,15 +86,6 @@ class Superoperator:
                 f"matrix shape {self.matrix.shape} does not match {self.num_sites} sites"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def trace_violation(self) -> float:
-        """Max deviation of the trace-preservation row identity: the
-        identity string owns row 0, so that row must vanish."""
-        return float(np.abs(self.matrix[0]).max())
-
 
 @dataclass(frozen=True)
 class SparseSuperoperator:
@@ -117,9 +108,6 @@ class SparseSuperoperator:
         out = np.zeros((rows.stop - r0, cols.stop - c0))
         out[self.rows[keep] - r0, self.cols[keep] - c0] = self.values[keep]
         return out
-
-    def toarray(self) -> np.ndarray:
-        return self.block(slice(0, self.dim), slice(0, self.dim))
 
 
 def _coupling_matrix(k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis) -> np.ndarray:

@@ -4,8 +4,10 @@ With the mean-diagonal dissipator as the unperturbed generator, each Pauli
 string is an eigenmode with eigenvalue lambda0(weight).  The commutator
 generator couples only adjacent weight sectors, so standard perturbation
 theory in the coupling strength gives closed-form cluster shifts at second
-order, and a purely imaginary first-order splitting when two adjacent
-sectors happen to share a lambda0.
+order.  Where two adjacent sectors share a lambda0, which happens exactly at
+l = 2 (mod 4), the pair splits at first order instead, into purely
+imaginary pairs; no run reports that splitting, so those sectors get no
+shift here.
 
 All degeneracy decisions use exact rational arithmetic; a vanishing
 denominator raises instead of silently producing garbage.
@@ -17,22 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .ensemble import HamiltonianSpec
 from .errors import DegenerateWeightError
-from .liouvillian import lambda0_fraction, unitary_pauli_matrix
-from .pauli import PauliBasis, sector_dimension
+from .liouvillian import lambda0_fraction
 
 __all__ = [
     "h_count",
     "second_order_mean_fraction",
-    "second_order_exact",
-    "WeightGroup",
-    "degenerate_groups",
-    "consecutive_degenerate_pair",
-    "FirstOrderBlock",
-    "first_order_block",
     "PerturbationPrediction",
     "predict",
 ]
@@ -73,7 +65,7 @@ def second_order_mean_fraction(k: int, num_sites: int, k_max: int = 2) -> Fracti
         8 / (9 l (l - 1)) * sum_m h(k, m) / (lambda0(m) - lambda0(k)).
 
     Refuses when a contributing neighbor is exactly degenerate; that case
-    splits at first order instead (see :func:`first_order_block`).
+    splits at first order instead.
     """
     center = lambda0_fraction(k, num_sites, k_max)
     total = Fraction(0)
@@ -88,130 +80,6 @@ def second_order_mean_fraction(k: int, num_sites: int, k_max: int = 2) -> Fracti
     return Fraction(8, 9 * num_sites * (num_sites - 1)) * total
 
 
-def second_order_exact(k: int, h: HamiltonianSpec, basis: PauliBasis) -> float:
-    """Second-order shift of cluster k for one concrete Hamiltonian.
-
-    Sums the squared string-basis elements out of sector k over the inverse
-    center gaps, averaged over the n_k strings of the sector.  The basis
-    must cover the adjacent sectors; couplings beyond them are structurally
-    zero.
-    """
-    num_sites = h.num_sites
-    lo, hi = max(0, k - 1), min(num_sites, k + 1)
-    if basis.min_weight > lo or basis.max_weight < hi:
-        raise ValueError(
-            f"basis covers weights {basis.min_weight}..{basis.max_weight}; "
-            f"sector {k} needs {lo}..{hi}"
-        )
-    l_u = unitary_pauli_matrix(h, basis)
-    center = lambda0_fraction(k, num_sites)
-    rows = basis.sector(k)
-    total = 0.0
-    for m in (k - 1, k + 1):
-        if not 0 <= m <= num_sites:
-            continue
-        norm_sq = float(np.sum(l_u.block(rows, basis.sector(m)) ** 2))
-        if norm_sq == 0.0:
-            continue
-        gap = lambda0_fraction(m, num_sites) - center
-        if gap == 0:
-            raise DegenerateWeightError(
-                f"weights {k} and {m} are degenerate at {num_sites} sites "
-                f"and the coupling block is nonzero"
-            )
-        total += norm_sq / float(gap)
-    return total / sector_dimension(num_sites, k)
-
-
-@dataclass(frozen=True)
-class WeightGroup:
-    """Weights sharing one exact cluster center."""
-
-    weights: tuple[int, ...]
-    center: Fraction
-
-
-def degenerate_groups(num_sites: int, k_max: int = 2) -> list[WeightGroup]:
-    """Partition of weights 0..l by exact equality of the cluster centers.
-
-    Ordered by the smallest member weight.  Adjacent-weight groups are the
-    interesting case: they make first-order splitting possible and break
-    the second-order formulas.
-    """
-    by_center: dict[Fraction, list[int]] = {}
-    for k in range(num_sites + 1):
-        by_center.setdefault(lambda0_fraction(k, num_sites, k_max), []).append(k)
-    groups = [WeightGroup(tuple(sorted(ws)), c) for c, ws in by_center.items()]
-    groups.sort(key=lambda g: g.weights[0])
-    return groups
-
-
-def consecutive_degenerate_pair(num_sites: int) -> Optional[tuple[int, int]]:
-    """The adjacent degenerate weight pair, when one exists.
-
-    Solving lambda0(k) = lambda0(k + 1) gives k = (3l - 2) / 4, integral
-    exactly when l = 2 (mod 4); this scans the groups instead of trusting
-    the formula.
-    """
-    for g in degenerate_groups(num_sites):
-        for a, b in zip(g.weights, g.weights[1:]):
-            if b - a == 1:
-                return (a, b)
-    return None
-
-
-@dataclass(frozen=True)
-class FirstOrderBlock:
-    """First-order coupling block of two adjacent weight sectors.
-
-    ``matrix`` is the real antisymmetric [[0, V], [-V^T, 0]] with V mapping
-    the upper sector into the lower one; its spectrum is pure-imaginary
-    pairs +-i*sigma from the singular values of V, padded with zeros.
-    """
-
-    k_low: int
-    k_high: int
-    matrix: np.ndarray
-    singular_values: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        pairs = np.concatenate([1j * self.singular_values, -1j * self.singular_values])
-        zeros = np.zeros(self.dim - pairs.size, dtype=complex)
-        return np.concatenate([pairs, zeros])
-
-    @property
-    def mean_square_modulus(self) -> float:
-        """Mean |eigenvalue|^2, via the trace identity sum |M_ij|^2 / dim."""
-        return 2.0 * float(np.sum(self.singular_values**2)) / self.dim
-
-
-def first_order_block(
-    h: HamiltonianSpec,
-    k_minus: int,
-    k_plus: int,
-    basis: PauliBasis,
-) -> FirstOrderBlock:
-    """Assemble the degenerate-pair splitting block for one Hamiltonian."""
-    lo, hi = min(k_minus, k_plus), max(k_minus, k_plus)
-    if hi - lo != 1:
-        raise ValueError(f"weights {k_minus} and {k_plus} are not adjacent")
-    if basis.min_weight > lo or basis.max_weight < hi:
-        raise ValueError(f"basis does not cover weights {lo} and {hi}")
-    l_u = unitary_pauli_matrix(h, basis)
-    v = l_u.block(basis.sector(lo), basis.sector(hi))
-    n_lo, n_hi = v.shape
-    block = np.zeros((n_lo + n_hi, n_lo + n_hi))
-    block[:n_lo, n_lo:] = v
-    block[n_lo:, :n_lo] = -v.T
-    sigma = np.linalg.svd(v, compute_uv=False)
-    return FirstOrderBlock(lo, hi, block, sigma)
-
-
 @dataclass(frozen=True)
 class PerturbationPrediction:
     """Closed-form prediction bundle for every weight sector at one size."""
@@ -221,7 +89,6 @@ class PerturbationPrediction:
     h_up: tuple[int, ...]
     h_down: tuple[int, ...]
     lambda2_means: tuple[Optional[Fraction], ...]
-    groups: tuple[WeightGroup, ...]
 
     def center(self, k: int, alpha: float) -> float:
         shift = self.lambda2_means[k]
@@ -253,5 +120,4 @@ def predict(num_sites: int, k_max: int = 2) -> PerturbationPrediction:
         tuple(ups),
         tuple(downs),
         tuple(shifts),
-        tuple(degenerate_groups(num_sites, k_max)),
     )

@@ -1,13 +1,12 @@
 """Spectral analysis of dense superoperators.
 
-Everything downstream of an eigendecomposition lives here: the closed-form
-spectrum of the commutator generator L_U from the levels of H,
-trace-preservation and symmetry sanity reports, cluster bookkeeping against
-predicted centers, complex spacing ratios with synthetic references,
-operator-weight profiles of eigenmodes, commutant bases, persistence across
-a coupling sweep (the strongest coupling's modes, every coupling's window
-counts), spectral density histograms, and expectation-value evolution from
-the mode expansion.  The weight profiles of all modes come from one reader,
+Everything downstream of an eigendecomposition that a run reports lives
+here: the closed-form spectrum of the commutator generator L_U from the
+levels of H, cluster bookkeeping against predicted centers, complex spacing
+ratios with synthetic references, operator-weight profiles of eigenmodes,
+commutant bases, persistence across a coupling sweep (the strongest
+coupling's modes, every coupling's window counts), and spectral density
+histograms.  The weight profiles of all modes come from one reader,
 :func:`weight_profiles`, which the eigenvalue tables and the persistent
 modes both use, so the two give one mode the same floats.
 
@@ -40,9 +39,6 @@ __all__ = [
     "Spectrum",
     "diagonalize",
     "unitary_eigenvalues",
-    "CptpReport",
-    "cptp_checks",
-    "conjugation_residual",
     "CsrHistogram",
     "complex_spacing_ratios",
     "ks_statistic",
@@ -60,7 +56,6 @@ __all__ = [
     "Density2D",
     "spectral_density",
     "density_total_variation",
-    "evolve_expectation",
 ]
 
 STEADY_TOL = 1e-8
@@ -69,10 +64,6 @@ STEADY_TOL = 1e-8
 def _canonical_order(eigs: np.ndarray) -> np.ndarray:
     return np.lexsort((eigs.imag, -eigs.real))
 
-
-# A right-mode matrix whose inverse misses biorthogonality by more than this
-# belongs to a near-defective matrix.
-BIORTH_TOL = 1e-6
 
 # Seed of the fixed unit vector that probes the eigen residual.
 PROBE_SEED = 0
@@ -257,72 +248,12 @@ def unitary_eigenvalues(h: HamiltonianSpec, distinct: bool = False) -> np.ndarra
     return eigs[_canonical_order(eigs)]
 
 
-# Points per row block of the nearest-neighbor searches (conjugates and
-# spacing ratios): each block is a (block x points) distance matrix, 2 MB at
-# 1024 points.
-_NEIGHBOR_BLOCK = 256
-
-
-def conjugation_residual(eigs: np.ndarray) -> float:
-    """Max distance from any eigenvalue's conjugate to the nearest eigenvalue."""
-    worst = 0.0
-    for lo in range(0, eigs.size, _NEIGHBOR_BLOCK):
-        block = np.conj(eigs[lo : lo + _NEIGHBOR_BLOCK])
-        d = np.abs(block[:, None] - eigs[None, :]).min(axis=1)
-        worst = max(worst, float(d.max()))
-    return worst
-
-
-@dataclass(frozen=True)
-class CptpReport:
-    """Pass/fail flags for the structural properties of a trace-preserving
-    positivity-respecting generator."""
-
-    max_re: float
-    max_re_ok: bool
-    zero_mode_present: bool
-    conjugation_residual: float
-    conjugation_ok: bool
-    steady_identity_overlap: Optional[float]
-    steady_identity_ok: Optional[bool]
-
-
-def cptp_checks(spectrum: Spectrum) -> CptpReport:
-    """Verify the spectral fingerprints of a valid dissipative generator.
-
-    Checks max Re < ``STEADY_TOL``, the presence of a zero mode (within
-    ``STEADY_TOL``), conjugation symmetry of the eigenvalue multiset to the
-    same tolerance, and, when the spectrum kept its modes and they invert,
-    that the zero mode's left partner (its row of the inverse) is the
-    identity functional (the trace).
-    """
-    eigs = spectrum.eigenvalues
-    max_re = float(eigs.real.max())
-    steady = np.flatnonzero(np.abs(eigs) < STEADY_TOL)
-    conj_res = conjugation_residual(eigs)
-    overlap: Optional[float] = None
-    overlap_ok: Optional[bool] = None
-    if spectrum.has_modes and steady.size:
-        try:
-            left = np.linalg.inv(spectrum.modes(slice(None)))[steady[0]]
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            # the identity string owns index 0
-            overlap = float(np.abs(left[0]) / np.linalg.norm(left))
-            overlap_ok = overlap > 1.0 - 1e-8
-    return CptpReport(
-        max_re,
-        max_re < STEADY_TOL,
-        bool(steady.size),
-        conj_res,
-        conj_res < STEADY_TOL,
-        overlap,
-        overlap_ok,
-    )
-
-
 # --- complex spacing ratios -------------------------------------------------
+
+
+# Points per row block of the spacing-ratio neighbor search: each block is a
+# (block x points) distance matrix, 2 MB at 1024 points.
+_NEIGHBOR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -775,37 +706,3 @@ def density_total_variation(a: Density2D, b: Density2D) -> float:
     if not (np.allclose(a.re_edges, b.re_edges) and np.allclose(a.im_edges, b.im_edges)):
         raise ValueError("histogram grids differ in bin edges")
     return 0.5 * float(np.abs(a.probability - b.probability).sum())
-
-
-# --- time evolution ---------------------------------------------------------
-
-
-def evolve_expectation(
-    spectrum: Spectrum,
-    rho0_vec: np.ndarray,
-    obs_vec: np.ndarray,
-    times: Sequence[float],
-) -> np.ndarray:
-    """Expectation trajectory from the eigenmode expansion.
-
-    <O>(t) = sum_i <O|R_i> (L_i rho0) exp(lambda_i t), requiring the
-    biorthogonal pair; at t = 0 this telescopes back to <O|rho0>.  The
-    observable vector is vec(O) for a Hermitian O in the spectrum's basis.
-    The left modes L are the inverse of the right ones; a spectrum that
-    kept no modes, or whose L misses L R = 1 by ``BIORTH_TOL``, has none.
-    """
-    if not spectrum.has_modes:
-        raise SpectralAnalysisError("the spectrum kept no modes; no mode expansion")
-    right = spectrum.modes(slice(None))
-    try:
-        left = np.linalg.inv(right)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralAnalysisError("singular right modes; no mode expansion") from exc
-    if not np.abs(left @ right - np.eye(spectrum.dim)).max() < BIORTH_TOL:
-        raise SpectralAnalysisError("spectrum is not diagonalizable; no mode expansion")
-    obs_row = np.conj(np.asarray(obs_vec, dtype=complex)) @ right
-    init_col = left @ np.asarray(rho0_vec, dtype=complex)
-    weights = obs_row * init_col
-    t = np.asarray(list(times), dtype=float)
-    phases = np.exp(np.outer(t, spectrum.eigenvalues))
-    return phases @ weights

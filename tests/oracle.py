@@ -1,22 +1,36 @@
-"""Computational-basis Kronecker builders: the test oracle for the direct
-string-basis generators of ``klindblad.liouvillian``.
+"""References the tests compare the package against.
 
-Vectorization is column-stacking, vec(A rho B) = (B^T kron A) vec(rho).
-These builders form complex 4^l x 4^l matrices from dense jump operators,
-so they are slow and memory-hungry above 5 sites; ``real_pauli`` rotates
-their output into the production representation.  The package itself has
-only that representation, so the column-stacked trace functional
-``vec_identity`` lives here too.
+The computational-basis Kronecker builders are the oracle for the direct
+string-basis generators of ``klindblad.liouvillian``; vectorization is
+column-stacking, vec(A rho B) = (B^T kron A) vec(rho).  They form complex
+4^l x 4^l matrices from dense jump operators, so they are slow and
+memory-hungry above 5 sites; ``real_pauli`` rotates their output into the
+production representation, and ``vec_identity`` is the column-stacked trace
+functional.  The rest are the paper's claims that no subcommand reports (the
+mode-expansion evolution, one Hamiltonian's second-order shift, the
+first-order splitting of adjacent degenerate sectors) and the whole K record
+whose streamed form the manifest digests.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
 from math import sqrt
-from typing import Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from klindblad.ensemble import HamiltonianSpec, KossakowskiSample, dense_hamiltonian
-from klindblad.liouvillian import Superoperator, pauli_basis_form, real_pauli_form
-from klindblad.pauli import PauliBasis, to_dense
+from klindblad.errors import DegenerateWeightError
+from klindblad.liouvillian import (
+    SparseSuperoperator,
+    Superoperator,
+    lambda0_fraction,
+    pauli_basis_form,
+    real_pauli_form,
+    unitary_pauli_matrix,
+)
+from klindblad.pauli import PauliBasis, sector_dimension, to_dense
+from klindblad.spectral import Spectrum
 
 
 def vec_identity(num_sites: int) -> np.ndarray:
@@ -66,3 +80,142 @@ def assemble(alpha: float, unitary: Superoperator, dissipator: Superoperator) ->
 def real_pauli(sup: Superoperator, basis: PauliBasis) -> np.ndarray:
     """The real string-basis matrix of a computational-basis superoperator."""
     return real_pauli_form(pauli_basis_form(sup, basis))
+
+
+def dense(sparse: SparseSuperoperator) -> np.ndarray:
+    """The dense matrix of a sparse superoperator."""
+    return sparse.block(slice(0, sparse.dim), slice(0, sparse.dim))
+
+
+def evolve_expectation(
+    spectrum: Spectrum, rho0_vec: np.ndarray, obs_vec: np.ndarray, times: Sequence[float]
+) -> np.ndarray:
+    """<O>(t) = sum_i <O|R_i> (L_i rho0) exp(lambda_i t) from the modes a
+    spectrum kept, with the left modes L the inverse of the right ones R; at
+    t = 0 it telescopes back to <O|rho0>.  The vectors are over the basis the
+    spectrum's generator was written in."""
+    right = spectrum.modes(slice(None))
+    weights = (np.conj(obs_vec) @ right) * np.linalg.solve(right, rho0_vec)
+    return np.exp(np.outer(times, spectrum.eigenvalues)) @ weights
+
+
+def second_order_exact(k: int, h: HamiltonianSpec, basis: PauliBasis) -> float:
+    """Second-order shift of cluster k for one concrete Hamiltonian.
+
+    Sums the squared string-basis elements out of sector k over the inverse
+    center gaps, averaged over the n_k strings of the sector.  The basis
+    must cover the adjacent sectors; couplings beyond them are structurally
+    zero.
+    """
+    num_sites = h.num_sites
+    lo, hi = max(0, k - 1), min(num_sites, k + 1)
+    if basis.min_weight > lo or basis.max_weight < hi:
+        raise ValueError(
+            f"basis covers weights {basis.min_weight}..{basis.max_weight}; "
+            f"sector {k} needs {lo}..{hi}"
+        )
+    l_u = unitary_pauli_matrix(h, basis)
+    center = lambda0_fraction(k, num_sites)
+    rows = basis.sector(k)
+    total = 0.0
+    for m in (k - 1, k + 1):
+        if not 0 <= m <= num_sites:
+            continue
+        norm_sq = float(np.sum(l_u.block(rows, basis.sector(m)) ** 2))
+        if norm_sq == 0.0:
+            continue
+        gap = lambda0_fraction(m, num_sites) - center
+        if gap == 0:
+            raise DegenerateWeightError(
+                f"weights {k} and {m} are degenerate at {num_sites} sites "
+                f"and the coupling block is nonzero"
+            )
+        total += norm_sq / float(gap)
+    return total / sector_dimension(num_sites, k)
+
+
+@dataclass(frozen=True)
+class WeightGroup:
+    """Weights sharing one exact cluster center."""
+
+    weights: tuple[int, ...]
+    center: Fraction
+
+
+def degenerate_groups(num_sites: int, k_max: int = 2) -> list[WeightGroup]:
+    """Partition of weights 0..l by exact equality of the cluster centers,
+    ordered by the smallest member weight."""
+    by_center: dict[Fraction, list[int]] = {}
+    for k in range(num_sites + 1):
+        by_center.setdefault(lambda0_fraction(k, num_sites, k_max), []).append(k)
+    groups = [WeightGroup(tuple(sorted(ws)), c) for c, ws in by_center.items()]
+    groups.sort(key=lambda g: g.weights[0])
+    return groups
+
+
+def consecutive_degenerate_pair(num_sites: int) -> Optional[tuple[int, int]]:
+    """The adjacent degenerate weight pair, when one exists.
+
+    Solving lambda0(k) = lambda0(k + 1) gives k = (3l - 2) / 4, integral
+    exactly when l = 2 (mod 4); this scans the groups instead of trusting
+    the formula.
+    """
+    for g in degenerate_groups(num_sites):
+        for a, b in zip(g.weights, g.weights[1:]):
+            if b - a == 1:
+                return (a, b)
+    return None
+
+
+@dataclass(frozen=True)
+class FirstOrderBlock:
+    """First-order coupling block of two adjacent weight sectors.
+
+    ``matrix`` is the real antisymmetric [[0, V], [-V^T, 0]] with V mapping
+    the upper sector into the lower one; its spectrum is pure-imaginary
+    pairs +-i*sigma from the singular values of V, padded with zeros.
+    """
+
+    k_low: int
+    k_high: int
+    matrix: np.ndarray
+    singular_values: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        pairs = np.concatenate([1j * self.singular_values, -1j * self.singular_values])
+        zeros = np.zeros(self.dim - pairs.size, dtype=complex)
+        return np.concatenate([pairs, zeros])
+
+    @property
+    def mean_square_modulus(self) -> float:
+        """Mean |eigenvalue|^2, via the trace identity sum |M_ij|^2 / dim."""
+        return 2.0 * float(np.sum(self.singular_values**2)) / self.dim
+
+
+def first_order_block(
+    h: HamiltonianSpec, k_minus: int, k_plus: int, basis: PauliBasis
+) -> FirstOrderBlock:
+    """The degenerate-pair splitting block for one Hamiltonian."""
+    lo, hi = min(k_minus, k_plus), max(k_minus, k_plus)
+    if hi - lo != 1:
+        raise ValueError(f"weights {k_minus} and {k_plus} are not adjacent")
+    if basis.min_weight > lo or basis.max_weight < hi:
+        raise ValueError(f"basis does not cover weights {lo} and {hi}")
+    v = unitary_pauli_matrix(h, basis).block(basis.sector(lo), basis.sector(hi))
+    n_lo, n_hi = v.shape
+    block = np.zeros((n_lo + n_hi, n_lo + n_hi))
+    block[:n_lo, n_lo:] = v
+    block[n_lo:, :n_lo] = -v.T
+    return FirstOrderBlock(lo, hi, block, np.linalg.svd(v, compute_uv=False))
+
+
+def kossakowski_to_json_dict(sample: KossakowskiSample) -> dict:
+    """K's whole record, the reference for ``ensemble.kossakowski_json_chunks``."""
+    entries = [[r, c, float(v.real), float(v.imag)] for (r, c), v in np.ndenumerate(sample.k_matrix)]
+    return {"type": "kossakowski", "num_sites": sample.num_sites, "k_max": sample.k_max,
+            "seed": sample.seed, "d_diag": [float(x) for x in sample.d_diag], "k_matrix": entries}

@@ -26,10 +26,10 @@ from klindblad.spectral import Spectrum, commutant_basis
 from klindblad.ensemble import (
     HamiltonianSpec,
     heisenberg_hamiltonian,
-    kossakowski_to_json_dict,
     sample_random_hamiltonian,
 )
 from klindblad.pauli import PauliBasis
+from oracle import kossakowski_to_json_dict
 
 
 def run(*args):
@@ -508,6 +508,7 @@ def test_alpha_and_beta_mutually_exclusive(tmp_path):
 
 
 HEISENBERG = ["heisenberg", "--seed", 1, "--alpha", "1,2"]
+SWEEP = ["sweep-beta", "--seed", 1]
 
 
 @pytest.mark.parametrize(
@@ -520,7 +521,7 @@ HEISENBERG = ["heisenberg", "--seed", 1, "--alpha", "1,2"]
         pytest.param({"alphas": 0.1}, ["csr", "--seed", 1], id="scalar-alphas"),
         pytest.param({"alphas": ["0.1"]}, ["csr", "--seed", 1], id="string-alpha"),
         pytest.param({"window": "wide"}, ["csr", "--seed", 1], id="string-window"),
-        pytest.param({"gnuplot": 1}, ["csr", "--seed", 1], id="int-flag"),
+        pytest.param({"gnuplot": 1}, ["spectrum", "--seed", 1], id="int-flag"),
         pytest.param({}, ["csr", "--seed", 1, "--alpha", "nan"], id="nan-alpha"),
         pytest.param({}, ["csr", "--seed", 1, "--alpha", "0.1,inf"], id="inf-alpha"),
         pytest.param({}, ["csr", "--seed", 1, "--window", "nan"], id="nan-window"),
@@ -531,6 +532,15 @@ HEISENBERG = ["heisenberg", "--seed", 1, "--alpha", "1,2"]
         pytest.param({}, [*HEISENBERG, "--window", 0], id="zero-window"),
         pytest.param({}, [*HEISENBERG, "--weight-threshold", 7], id="threshold-above-1"),
         pytest.param({}, [*HEISENBERG, "--weight-threshold", -0.1], id="threshold-below-0"),
+        pytest.param({}, ["spectrum", "--seed", 1, "--alpha", "0.1,-1"], id="negative-alpha"),
+        pytest.param({"alphas": None}, [*SWEEP, "--beta", "0.1,-1"], id="negative-beta"),
+        pytest.param({}, ["spectrum", "--seed", 1, "--alpha", "0,-0.0"], id="signed-zero-alphas"),
+        pytest.param({"alphas": None}, [*SWEEP, "--beta", "0,-0.0"], id="signed-zero-betas"),
+        pytest.param({}, ["csr", "--seed", 1, "--gnuplot"], id="gnuplot-on-csr"),
+        pytest.param({"gnuplot": True}, HEISENBERG, id="gnuplot-in-config-on-heisenberg"),
+        pytest.param({}, ["spectrum", "--seed", 1, "--rescale-im"], id="rescale-im-on-spectrum"),
+        pytest.param({"alphas": None}, [*SWEEP, "--beta", 0, "--unitary-only"],
+                     id="unitary-only-on-sweep-beta"),
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, settings, args):
