@@ -159,6 +159,9 @@ class ExperimentConfig:
         if self.sites < MIN_SITES[self.hamiltonian]:
             raise ConfigError(f"a {self.hamiltonian} hamiltonian needs at least "
                               f"{MIN_SITES[self.hamiltonian]} sites, got {self.sites}")
+        if self.exact_h_norm and self.hamiltonian != RANDOM_ALL_TO_ALL:
+            raise ConfigError(f"exact_h_norm rescales the random hamiltonian; a "
+                              f"{self.hamiltonian} hamiltonian has fixed couplings")
         if not 1 <= self.k_max <= self.sites:
             raise ConfigError(f"k_max {self.k_max} out of range for {self.sites} sites")
         channels = kossakowski_dimension(self.sites, self.k_max)
@@ -169,6 +172,9 @@ class ExperimentConfig:
             )
         if self.alphas is not None and self.betas is not None:
             raise ConfigError("alpha and beta lists are mutually exclusive")
+        if self.unitary_only and (self.alphas is not None or self.betas is not None):
+            raise ConfigError("a unitary-only run solves no generator and reads no alpha "
+                              "or beta list")
         for name, values in (("alpha", self.alphas), ("beta", self.betas)):
             if any(v < 0 for v in values or ()):
                 raise ConfigError(f"{name} values must be non-negative, got {list(values)}")

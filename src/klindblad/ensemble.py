@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, count, product
+from itertools import combinations, product
 from math import sqrt
 from typing import Iterator, Optional
 
@@ -231,19 +231,17 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 
 def kossakowski_json_chunks(sample: KossakowskiSample) -> Iterator[str]:
     """K's record, the sample's parameters and K's entries in row-major order,
-    as ``json.dumps`` with sorted keys writes it, in pieces of 64 rows of K
-    each, so that its n^2 entry records never exist at once: the manifest
-    digests K this way."""
+    as ``json.dumps`` with sorted keys writes it, in pieces of one row of K
+    each, so that no more than one row's n entry records exist at once: the
+    manifest digests K this way."""
     header = {"type": "kossakowski", "num_sites": sample.num_sites, "k_max": sample.k_max,
               "seed": sample.seed, "d_diag": [float(x) for x in sample.d_diag], "k_matrix": []}
     head, tail = json.dumps(header, sort_keys=True).split('"k_matrix": []')
     yield head + '"k_matrix": ['
-    for lo in range(0, sample.jump_dimension, 64):
-        block = sample.k_matrix[lo : lo + 64]
-        yield (", " if lo else "") + json.dumps([
-            [r, c, re, im] for r, row_re, row_im in
-            zip(count(lo), block.real.tolist(), block.imag.tolist())
-            for c, (re, im) in enumerate(zip(row_re, row_im))])[1:-1]
+    for r, row in enumerate(sample.k_matrix):
+        yield (", " if r else "") + json.dumps([
+            [r, c, re, im] for c, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
+        ])[1:-1]
     yield "]" + tail
 
 

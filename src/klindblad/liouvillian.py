@@ -7,7 +7,7 @@ basis e_b = S_b / sqrt(2^l) of a complete :class:`PauliBasis`,
 
 which is exactly real for Hermitian jump strings and a Hermitian H.  Both
 parts are scattered straight into that matrix from the symplectic product
-rule S_p S_q = i^e(p, q) S_{p xor q} of :func:`pauli.product_exponent` and
+rule S_p S_q = i^e(p, q) S_{p xor q} of :meth:`pauli.PauliBasis.product` and
 :func:`pauli.anticommutes`, with no Kronecker products; this module keeps no
 bit formulas of its own.  The jump channels are the weight window
 1 <= weight <= k_max of the string basis.  The generator splits as
@@ -43,7 +43,7 @@ import numpy as np
 from .ensemble import HamiltonianSpec, KossakowskiSample, kossakowski_dimension
 from .errors import NonPositiveKossakowskiError, NumericalError
 from .openblas import solver_matrix
-from .pauli import PHASES, PauliBasis, anticommutes, basis_state_images, product_exponent
+from .pauli import PHASES, PauliBasis, anticommutes, basis_state_images
 
 __all__ = [
     "Superoperator",
@@ -134,9 +134,11 @@ def _validate_coupling(k_matrix: np.ndarray) -> None:
 
 
 # Columns per block of the dissipator write; the per-block temporaries are
-# a few (product strings x block) arrays, about 5 MB at 5 sites.  They set the
-# memory peak while another thread solves, so the block is kept small.
-_BLOCK = 64
+# a few (product strings x block) arrays, about 1.2 MB at 5 sites and 2.8 MB
+# at 6 (traced).  They stay in the writing thread's heap while another thread
+# solves, so the block is kept small: 32 columns add 0.7 MB to a 5-site run's
+# peak and save no measurable time, 16 save no memory and cost time.
+_BLOCK = 24
 
 
 def _check_complete(basis: PauliBasis, num_sites: int) -> None:
@@ -174,13 +176,11 @@ def dissipator_factor(k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis
     if validate:
         _validate_coupling(k_matrix)
     k_matrix = k_matrix / 2.0**num_sites  # exact: the 1/2^l of M, applied early
-    jx, jz = jumps.x_array, jumps.z_array
     n_jump = len(jumps)
     # products S_n S_m, indexed [n, m], grouped by the string c = n xor m
-    products, c_of = np.unique(basis.lookup(jx[:, None] ^ jx, jz[:, None] ^ jz),
-                               return_inverse=True)
+    rows, exponent = basis.product(jumps.keys[:, None], jumps.keys)
+    products, c_of = np.unique(rows, return_inverse=True)
     c_of = c_of.reshape(n_jump, n_jump)
-    exponent = product_exponent(jx[:, None], jz[:, None], jx, jz)
     w = np.zeros((products.size, n_jump), dtype=complex)
     w[c_of, np.arange(n_jump)] = k_matrix * PHASES[exponent]
     b_sum = np.zeros(products.size, dtype=complex)
@@ -191,24 +191,26 @@ def dissipator_factor(k: Union[KossakowskiSample, np.ndarray], jumps: PauliBasis
 def _write_dissipator(factor: DissipatorFactor, scale: float, out: np.ndarray) -> None:
     """Write scale * L_D into the entries of ``out`` it fills, one block of
     columns at a time: A is one product, and each c hits its own row of a
-    column.  An imaginary residue above 1e-10 (a non-Hermitian K) raises
+    column, read with its exponent from the basis's key tables.  An
+    imaginary residue above 1e-10 (a non-Hermitian K) raises
     :class:`NumericalError`."""
     basis, jx, jz = factor.basis, factor.jumps.x_array[:, None], factor.jumps.z_array[:, None]
     m = factor.products.size
-    cx, cz = basis.x_array[factor.products, None], basis.z_array[factor.products, None]
+    key_c = basis.keys[factor.products, None]
     residue = 0.0
     for lo in range(0, len(basis), _BLOCK):
         cols = np.arange(lo, min(lo + _BLOCK, len(basis)))
-        bx, bz = basis.x_array[cols], basis.z_array[cols]
-        signs = 1.0 - 2.0 * anticommutes(jx, jz, bx, bz)
-        a = factor.w_stacked @ signs
-        a = a[:m] + 1j * a[m:]
-        exponent = product_exponent(cx, cz, bx, bz)
+        signs = 1.0 - 2.0 * anticommutes(jx, jz, basis.x_array[cols], basis.z_array[cols])
+        stacked = factor.w_stacked @ signs
+        a = 1j * stacked[m:]  # joined in place: one complex block fewer at once
+        a += stacked[:m]
+        del stacked
+        rows, exponent = basis.product(key_c, basis.keys[cols])
         # S_c and S_b commute exactly where i^e is real
-        a -= np.where(exponent % 2 == 0, factor.b_sum[:, None], 0.0)
-        a *= PHASES[exponent]
+        a -= np.where(exponent & 1 == 0, factor.b_sum[:, None], 0.0)
+        a *= np.take(PHASES, exponent)
         residue = max(residue, float(np.abs(a.imag).max()))
-        out[basis.lookup(cx ^ bx, cz ^ bz), cols] = scale * a.real
+        out[rows, cols] = scale * a.real
     if residue > 1e-10:
         raise NumericalError(f"imaginary residue {residue:.3e} exceeds 1e-10")
 
@@ -338,17 +340,14 @@ def unitary_pauli_matrix(h: HamiltonianSpec, basis: PauliBasis) -> SparseSuperop
     """
     if basis.num_sites != h.num_sites:
         raise ValueError("basis and Hamiltonian disagree on num_sites")
-    x, z = basis.x_array, basis.z_array
     rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for s_w, coupling in h.coefficients.items():
-        wx, wz = np.uint64(s_w.x_bits), np.uint64(s_w.z_bits)
-        b = np.flatnonzero(anticommutes(wx, wz, x, z))
-        row = basis.lookup(wx ^ x[b], wz ^ z[b])
-        b, row = b[row >= 0], row[row >= 0]
-        plus = product_exponent(wx, wz, x[b], z[b]) == 1
-        rows.append(row)
+        row, exponent = basis.product(s_w.key, basis.keys)
+        # S_w and S_b anticommute exactly where i^e is imaginary
+        b = np.flatnonzero((exponent & 1 == 1) & (row >= 0))
+        rows.append(row[b])
         cols.append(b)
-        vals.append(np.where(plus, 2.0 * coupling, -2.0 * coupling))
+        vals.append(np.where(exponent[b] == 1, 2.0 * coupling, -2.0 * coupling))
     # int32 indices: a third less memory, and 4^l < 2^31 to 15 sites
     return SparseSuperoperator(h.num_sites, len(basis), np.concatenate(rows, dtype=np.int32),
                                np.concatenate(cols, dtype=np.int32), np.concatenate(vals))

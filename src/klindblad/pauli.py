@@ -8,15 +8,16 @@ of the tensor product), and the per-site letter is encoded as
     I = (x=0, z=0)    X = (1, 0)    Z = (0, 1)    Y = (1, 1)
 
 with the sign convention Y = i·X·Z.  This is the one module that knows the
-encoding: the product rule S_p S_q = i^e S_{p xor q} (:func:`product_exponent`),
-the commutation test (:func:`anticommutes`), the i^k table (``PHASES``) and
-the action P|b> on computational states (:func:`basis_state_images`) all live
-here, broadcast over uint64 bit arrays.  The superoperator builders call
-them; a single pair of strings is a call on one-element arrays, since numpy
-scalars warn on the uint8 wraparound of :func:`product_exponent`.
+encoding: the commutation test (:func:`anticommutes`), the i^k table
+(``PHASES``) and the action P|b> on computational states
+(:func:`basis_state_images`) live here, broadcast over uint64 bit arrays, and
+the product rule S_p S_q = i^e S_{p xor q} is :meth:`PauliBasis.product`,
+over each string's int32 key (x << l) | z and tables over all 4^l keys.
+The superoperator builders call them; a single pair of strings is a call on
+one-element arrays.
 
-Labels read site 0 leftmost: ``PauliString.from_label("XIZ")`` is X on site 0,
-Z on site 2.
+Labels read site 0 leftmost: ``to_label()`` of X on site 0 and Z on site 2
+is ``"XIZ"``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "PauliString",
     "PauliBasis",
     "PHASES",
-    "product_exponent",
     "anticommutes",
     "basis_state_images",
     "enumerate_basis",
@@ -83,21 +83,6 @@ class PauliString:
         return cls(num_sites, 0, 0)
 
     @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Parse ``"IXYZ"``-style labels, site 0 leftmost."""
-        if not label:
-            raise ValueError("empty Pauli label")
-        x = z = 0
-        for ch in label:
-            try:
-                xb, zb = _LETTER_TO_BITS[ch]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {ch!r} in {label!r}") from None
-            x = (x << 1) | xb
-            z = (z << 1) | zb
-        return cls(len(label), x, z)
-
-    @classmethod
     def from_site_letters(
         cls, num_sites: int, site_letters: Sequence[tuple[int, str]]
     ) -> "PauliString":
@@ -114,6 +99,11 @@ class PauliString:
             z |= bit * zb
         return cls(num_sites, x, z)
 
+    @property
+    def key(self) -> int:
+        """(x << l) | z: the string's position in a :class:`PauliBasis`'s tables."""
+        return (self.x_bits << self.num_sites) | self.z_bits
+
     def to_label(self) -> str:
         letters = []
         for site in range(self.num_sites):
@@ -128,18 +118,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.to_label()
-
-
-def product_exponent(x1, z1, x2, z2) -> np.ndarray:
-    """e with S_1 S_2 = i^e S_{1 xor 2}, broadcast over uint64 bit arrays.
-
-    Writing each string as i^{|x.z|} X^x Z^z and commuting the Z factors of
-    S_1 past the X factors of S_2 costs (-1)^{|z_1 . x_2|}.  The bit counts
-    are uint8, and their wraparound below zero is harmless modulo 4.
-    """
-    count = np.bitwise_count
-    return (count(x1 & z1) + count(x2 & z2) - count((x1 ^ x2) & (z1 ^ z2))
-            + 2 * count(z1 & x2)) % 4
 
 
 def anticommutes(x1, z1, x2, z2) -> np.ndarray:
@@ -213,10 +191,12 @@ def enumerate_basis(
 class PauliBasis:
     """Ordered string collection with an index table and per-weight sectors.
 
-    Wraps :func:`enumerate_basis` and adds one dense table from the key
-    (x << l) | z of every string on l sites to its index, -1 outside the
-    weight window, contiguous sector slices, and uint64 bit arrays for
-    vectorized symplectic work.  The table costs O(4^l) whatever the window.
+    Wraps :func:`enumerate_basis` and adds the int32 key (x << l) | z of
+    every string on l sites (``keys``), two dense tables over all 4^l keys
+    (the index of each string, -1 outside the weight window, and the uint8
+    count |x.z| mod 4 of its Y letters), contiguous sector slices, and uint64
+    bit arrays for vectorized symplectic work.  The tables cost O(4^l)
+    whatever the window.
     """
 
     def __init__(self, num_sites: int, max_weight: Optional[int] = None, min_weight: int = 0):
@@ -241,11 +221,14 @@ class PauliBasis:
         self.x_array = np.array([s.x_bits for s in self._strings], dtype=np.uint64)
         self.z_array = np.array([s.z_bits for s in self._strings], dtype=np.uint64)
         self.weight_array = np.array([s.weight for s in self._strings], dtype=np.int64)
-        for arr in (self.x_array, self.z_array, self.weight_array):
+        self.keys = ((self.x_array << np.uint64(num_sites)) | self.z_array).astype(np.int32)
+        for arr in (self.x_array, self.z_array, self.weight_array, self.keys):
             arr.setflags(write=False)
 
         self._table = np.full(4**num_sites, -1, dtype=np.int64)
-        self._table[(self.x_array << np.uint64(num_sites)) | self.z_array] = np.arange(len(self))
+        self._table[self.keys] = np.arange(len(self))
+        every = np.arange(4**num_sites, dtype=np.int32)
+        self._y_count = np.bitwise_count((every >> num_sites) & every) & np.uint8(3)
 
     def __len__(self) -> int:
         return len(self._strings)
@@ -259,7 +242,7 @@ class PauliBasis:
     def _position(self, string: PauliString) -> int:
         if string.num_sites != self.num_sites:
             return -1
-        return int(self._table[(string.x_bits << self.num_sites) | string.z_bits])
+        return int(self._table[string.key])
 
     def index_of(self, string: PauliString) -> int:
         i = self._position(string)
@@ -283,7 +266,22 @@ class PauliBasis:
     def weights(self) -> range:
         return range(self.min_weight, self.max_weight + 1)
 
-    def lookup(self, x_arr: np.ndarray, z_arr: np.ndarray) -> np.ndarray:
-        """Vectorized index lookup; -1 marks strings not in the basis."""
-        x_arr, z_arr = np.asarray(x_arr, np.uint64), np.asarray(z_arr, np.uint64)
-        return self._table[(x_arr << np.uint64(self.num_sites)) | z_arr]
+    def product(self, key_c: np.ndarray, key_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(index of c xor b, e) with S_c S_b = i^e S_{c xor b}, for strings
+        given by their keys on this basis's sites and broadcast against each
+        other; -1 marks a product outside the window.
+
+        Writing each string as i^{|x.z|} X^x Z^z and commuting the Z factors
+        of S_c past the X factors of S_b costs (-1)^{|z_c . x_b|}, so
+        e = |x.z|_c + |x.z|_b - |x.z|_{c xor b} + 2 |z_c . x_b| mod 4, the
+        first three read from the table over all keys.  The uint8 sum's
+        wraparound below zero is harmless modulo 4.
+        """
+        key = key_c ^ key_b
+        y_count = self._y_count
+        exponent = np.take(y_count, key_c) + np.take(y_count, key_b)
+        exponent -= np.take(y_count, key)
+        z_c_x_b = (key_c & ((1 << self.num_sites) - 1)) & (key_b >> self.num_sites)
+        exponent += np.bitwise_count(z_c_x_b) << np.uint8(1)
+        exponent &= np.uint8(3)
+        return np.take(self._table, key), exponent

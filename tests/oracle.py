@@ -6,7 +6,10 @@ column-stacking, vec(A rho B) = (B^T kron A) vec(rho).  They form complex
 4^l x 4^l matrices from dense jump operators, so they are slow and
 memory-hungry above 5 sites; ``real_pauli`` rotates their output into the
 production representation, and ``vec_identity`` is the column-stacked trace
-functional.  The rest are the paper's claims that no subcommand reports (the
+functional.  ``from_label`` parses the labels the tests write strings in,
+and ``product_exponent`` and ``lookup`` are the product rule over uint64 bit
+arrays that ``PauliBasis.product`` reads from its key tables.
+The rest are the paper's claims that no subcommand reports (the
 mode-expansion evolution, one Hamiltonian's second-order shift, the
 first-order splitting of adjacent degenerate sectors) and the whole K record
 whose streamed form the manifest digests.
@@ -29,8 +32,39 @@ from klindblad.liouvillian import (
     real_pauli_form,
     unitary_pauli_matrix,
 )
-from klindblad.pauli import PauliBasis, sector_dimension, to_dense
+from klindblad.pauli import PauliBasis, PauliString, sector_dimension, to_dense
 from klindblad.spectral import Spectrum
+
+
+def from_label(label: str) -> PauliString:
+    """The string of an ``"IXYZ"``-style label, site 0 leftmost: the inverse
+    of ``PauliString.to_label``."""
+    if not label:
+        raise ValueError("empty Pauli label")
+    try:
+        return PauliString.from_site_letters(len(label), list(enumerate(label)))
+    except KeyError:
+        raise ValueError(f"invalid Pauli letter in {label!r}") from None
+
+
+def product_exponent(x1, z1, x2, z2) -> np.ndarray:
+    """e with S_1 S_2 = i^e S_{1 xor 2}, broadcast over uint64 bit arrays:
+    the rule of ``PauliBasis.product`` with all four |x.z| counts taken from
+    the bits.  The uint8 counts' wraparound below zero is harmless modulo 4."""
+    count = np.bitwise_count
+    return (count(x1 & z1) + count(x2 & z2) - count((x1 ^ x2) & (z1 ^ z2))
+            + 2 * count(z1 & x2)) % 4
+
+
+def lookup(basis: PauliBasis, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Index in ``basis`` of each string (x, z) of broadcast uint64 bit
+    arrays, -1 outside it, by a sorted search over the basis's bit arrays."""
+    shift = np.uint64(basis.num_sites)
+    own = (basis.x_array << shift) | basis.z_array
+    order = np.argsort(own)
+    want = (np.asarray(x, np.uint64) << shift) | np.asarray(z, np.uint64)
+    at = np.minimum(np.searchsorted(own[order], want), len(own) - 1)
+    return np.where(own[order][at] == want, order[at], -1)
 
 
 def vec_identity(num_sites: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from klindblad.liouvillian import (
     lambda0,
     unitary_pauli_matrix,
 )
-from klindblad.pauli import PHASES, PauliBasis, anticommutes, product_exponent, to_dense
+from klindblad.pauli import PHASES, PauliBasis, anticommutes, to_dense
 from klindblad.perturbation import predict
 from klindblad.spectral import (
     cluster_by_centers,
@@ -89,15 +89,15 @@ def linear_fit(xs, ys):
 
 
 def test_a01_string_algebra_matches_dense_exhaustively():
-    # the rule the builders run: broadcast over the uint64 bit arrays of the
-    # complete basis, where the uint8 bit counts wrap below zero
+    # the rules the builders run: the product over the keys of the complete
+    # basis, where the uint8 sum wraps below zero, and the commutation test
+    # over its uint64 bit arrays
     start = time.monotonic()
     for num_sites in (2, 3):
         basis = PauliBasis(num_sites)
         x, z = basis.x_array, basis.z_array
-        exponent = product_exponent(x[:, None], z[:, None], x, z)
+        image, exponent = basis.product(basis.keys[:, None], basis.keys)
         anti = anticommutes(x[:, None], z[:, None], x, z)
-        image = basis.lookup(x[:, None] ^ x, z[:, None] ^ z)
         dense = [to_dense(s) for s in basis]
         dim = 2**num_sites
         for i in range(len(basis)):

@@ -30,7 +30,7 @@ from klindblad.ensemble import (
     substream,
 )
 from klindblad.pauli import PauliString, enumerate_basis, to_dense
-from oracle import kossakowski_to_json_dict
+from oracle import from_label, kossakowski_to_json_dict
 
 
 # ---------------------------------------------------------------- streams
@@ -175,9 +175,9 @@ def test_random_hamiltonian_exact_norm_flag():
 
 def test_weight_validation_rejects_bad_terms():
     with pytest.raises(ValueError):
-        HamiltonianSpec(3, RANDOM_ALL_TO_ALL, {PauliString.from_label("XII"): 1.0})
+        HamiltonianSpec(3, RANDOM_ALL_TO_ALL, {from_label("XII"): 1.0})
     with pytest.raises(ValueError):
-        HamiltonianSpec(3, RANDOM_ALL_TO_ALL, {PauliString.from_label("XX"): 1.0})
+        HamiltonianSpec(3, RANDOM_ALL_TO_ALL, {from_label("XX"): 1.0})
     with pytest.raises(ValueError):
         HamiltonianSpec(3, "ising", {})
 
@@ -204,7 +204,7 @@ def test_dense_hamiltonian_small_cases():
         dense_hamiltonian(HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {})),
         np.zeros((4, 4)),
     )
-    xx = HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {PauliString.from_label("XX"): 1.0})
+    xx = HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {from_label("XX"): 1.0})
     assert np.array_equal(dense_hamiltonian(xx), np.fliplr(np.eye(4)))
     eigs = np.linalg.eigvalsh(dense_hamiltonian(heisenberg_hamiltonian(4)))
     assert abs(eigs.sum()) < 1e-12
@@ -298,7 +298,7 @@ def test_kossakowski_json_chunks_spell_the_record(num_sites, k_max):
 def test_hamiltonian_json_round_trip_is_bit_exact():
     for h in (sample_random_hamiltonian(4, seed=13), heisenberg_hamiltonian(5)):
         record = json.loads(json.dumps(hamiltonian_to_json_dict(h)))
-        back = {PauliString.from_label(label): j for label, j in record["coefficients"]}
+        back = {from_label(label): j for label, j in record["coefficients"]}
         assert back == h.coefficients
         header = (record["num_sites"], record["kind"], record["seed"])
         assert header == (h.num_sites, h.kind, h.seed)

@@ -160,7 +160,7 @@ def test_unitary_part_small_cases():
     assert zero.values.size == 0 and np.count_nonzero(oracle.dense(zero)) == 0
 
     # H = ZZ has levels +-1, so -i[H, .] has 0 eight times and +-2i four times
-    zz = HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {PauliString.from_label("ZZ"): 1.0})
+    zz = HamiltonianSpec(2, RANDOM_ALL_TO_ALL, {oracle.from_label("ZZ"): 1.0})
     eigs = np.linalg.eigvals(oracle.dense(build_unitary_part(zz, basis)))
     want = np.array([0] * 8 + [2j] * 4 + [-2j] * 4)
     assert pairing_distance(eigs, want) < 1e-12

@@ -5,6 +5,8 @@ Kronecker products of 2x2 literals and compare exactly.  None of the bit
 tricks under test are reused on the oracle side.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,10 @@ from klindblad.pauli import (
     PauliString,
     anticommutes,
     enumerate_basis,
-    product_exponent,
     sector_dimension,
     to_dense,
 )
+from oracle import from_label, lookup, product_exponent
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -47,10 +49,17 @@ def bit_arrays(p: PauliString, q: PauliString) -> list[np.ndarray]:
     return [np.array([v], dtype=np.uint64) for v in (p.x_bits, p.z_bits, q.x_bits, q.z_bits)]
 
 
+@lru_cache
+def complete_basis(num_sites: int) -> PauliBasis:
+    return PauliBasis(num_sites)
+
+
 def times(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
-    """(phase, string) with dense(p) @ dense(q) == phase * dense(string)."""
-    phase = complex(PHASES[product_exponent(*bit_arrays(p, q))[0]])
-    return phase, PauliString(p.num_sites, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits)
+    """(phase, string) with dense(p) @ dense(q) == phase * dense(string), by
+    ``PauliBasis.product`` on one-element key arrays."""
+    basis = complete_basis(p.num_sites)
+    row, exponent = basis.product(np.array([p.key]), q.key)
+    return complex(PHASES[exponent[0]]), basis[int(row[0])]
 
 
 def anticommute(p: PauliString, q: PauliString) -> bool:
@@ -62,15 +71,15 @@ def anticommute(p: PauliString, q: PauliString) -> bool:
 
 def test_label_round_trip():
     for label in ("I", "X", "XIZ", "YYXZ", "IIIII"):
-        assert PauliString.from_label(label).to_label() == label
+        assert from_label(label).to_label() == label
 
 
 def test_site_zero_is_most_significant_bit():
-    p = PauliString.from_label("XI")
+    p = from_label("XI")
     assert (p.x_bits, p.z_bits) == (2, 0)
-    q = PauliString.from_label("IZ")
+    q = from_label("IZ")
     assert (q.x_bits, q.z_bits) == (0, 1)
-    assert PauliString.from_label("YI").to_label()[0] == "Y"
+    assert from_label("YI").to_label()[0] == "Y"
 
 
 def test_from_site_letters_matches_label():
@@ -82,17 +91,17 @@ def test_from_site_letters_matches_label():
 
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
-        PauliString.from_label("XQ")
+        from_label("XQ")
     with pytest.raises(ValueError):
-        PauliString.from_label("")
+        from_label("")
     with pytest.raises(ValueError):
         PauliString(2, 4, 0)  # x bit beyond the register
 
 
 def test_weight_counts_non_identity_sites():
-    assert PauliString.from_label("IXIZ").weight == 2
+    assert from_label("IXIZ").weight == 2
     assert PauliString.identity(5).weight == 0
-    assert PauliString.from_label("YYY").weight == 3
+    assert from_label("YYY").weight == 3
 
 
 def test_dense_matches_kron_oracle_exhaustively():
@@ -133,7 +142,7 @@ def test_single_site_multiplication_table():
         ("I", "Y"): (1, "Y"),
     }
     for (a, b), (phase, res) in cases.items():
-        got_phase, got = times(PauliString.from_label(a), PauliString.from_label(b))
+        got_phase, got = times(from_label(a), from_label(b))
         assert got.to_label() == res
         assert got_phase == phase
 
@@ -255,8 +264,8 @@ def test_basis_indexing_and_sectors():
 
 def test_basis_membership_and_errors():
     basis = PauliBasis(3, max_weight=2)
-    inside = PauliString.from_label("XXI")
-    outside = PauliString.from_label("XXX")
+    inside = from_label("XXI")
+    outside = from_label("XXX")
     assert inside in basis
     assert outside not in basis
     with pytest.raises(KeyError):
@@ -270,10 +279,13 @@ def test_vectorized_lookup_agrees_with_index_of():
     strings = [random_string(rng, 5) for _ in range(300)]
     xs = np.array([s.x_bits for s in strings], dtype=np.uint64)
     zs = np.array([s.z_bits for s in strings], dtype=np.uint64)
-    # a weight window and the complete basis read the same table
+    keys = np.array([s.key for s in strings])
+    # a weight window and the complete basis; the product with the identity
+    # (key 0) reads the index table, and the reference searches the bits
     for basis in (PauliBasis(5, max_weight=2), PauliBasis(5)):
-        got = basis.lookup(xs, zs)
+        got = basis.product(keys, 0)[0]
         assert got.dtype == np.int64
+        assert np.array_equal(lookup(basis, xs, zs), got)
         for s, idx in zip(strings, got):
             if s in basis:
                 assert idx == basis.index_of(s)
@@ -281,7 +293,27 @@ def test_vectorized_lookup_agrees_with_index_of():
                 assert idx == -1
 
 
+@pytest.mark.parametrize("num_sites", [2, 3, 4])
+def test_key_product_equals_lookup_and_product_exponent(num_sites):
+    # every (c, b) pair of strings: the key tables give the row and the
+    # exponent of the uint64 bit-array rule, in the complete basis and in a
+    # window
+    full = PauliBasis(num_sites)
+    x, z = full.x_array, full.z_array
+    assert full.keys.dtype == np.int32
+    assert np.array_equal(full.keys, (x << np.uint64(num_sites)) | z)
+    assert [s.key for s in full] == full.keys.tolist()
+    want = product_exponent(x[:, None], z[:, None], x, z)
+    for basis in (full, PauliBasis(num_sites, max_weight=2, min_weight=1)):
+        rows, exponent = basis.product(full.keys[:, None], full.keys)
+        assert rows.shape == exponent.shape == (4**num_sites, 4**num_sites)
+        assert np.array_equal(rows, lookup(basis, x[:, None] ^ x, z[:, None] ^ z))
+        assert exponent.dtype == np.uint8 and np.array_equal(exponent, want)
+
+
 def test_bit_arrays_are_frozen():
     basis = PauliBasis(2)
     with pytest.raises(ValueError):
         basis.x_array[0] = 1
+    with pytest.raises(ValueError):
+        basis.keys[0] = 1

@@ -500,8 +500,8 @@ def test_dissipative_cluster_populations_at_zero_coupling():
 def test_mode_weight_profile_basics():
     basis = PauliBasis(3)
     vec = np.zeros(64, dtype=complex)
-    vec[basis.index_of(PauliString.from_label("XII"))] = 0.6
-    vec[basis.index_of(PauliString.from_label("XYI"))] = 0.8j
+    vec[basis.index_of(oracle.from_label("XII"))] = 0.6
+    vec[basis.index_of(oracle.from_label("XYI"))] = 0.8j
     # a mode's profile does not depend on its phase, its norm or the other modes
     modes = np.column_stack([vec, np.exp(0.7j) * vec, 3.0 * vec, np.ones(64)])
     spec = spectral.Spectrum(np.zeros(4), modes, order=np.arange(4))
@@ -610,14 +610,14 @@ def test_heisenberg_commutant_weight_two():
 
 
 def test_ising_coupling_commutant():
-    h = HamiltonianSpec(2, "random", {PauliString.from_label("ZZ"): 1.0})
+    h = HamiltonianSpec(2, "random", {oracle.from_label("ZZ"): 1.0})
     cols = commutant_basis(h, 1)
     assert cols.shape[1] == 2  # the two single-site Z operators
     basis1 = PauliBasis(2, max_weight=1, min_weight=1)
     spanned = cols @ (cols.conj().T)
     for label in ("ZI", "IZ"):
         e = np.zeros(6)
-        e[basis1.index_of(PauliString.from_label(label))] = 1.0
+        e[basis1.index_of(oracle.from_label(label))] = 1.0
         assert np.linalg.norm(spanned @ e - e) < 1e-10
 
 
