@@ -21,7 +21,6 @@ from .errors import (
 from .pauli import (
     PauliBasis,
     PauliString,
-    enumerate_basis,
     sector_dimension,
     to_dense,
 )

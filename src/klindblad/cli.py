@@ -184,6 +184,10 @@ class ExperimentConfig:
                     f"{name} values {list(values)} give colliding output names {tags}; "
                     f"couplings must differ in their first 6 significant digits"
                 )
+        huge = [a for a in self.alphas or () if math.isinf(a * a)]
+        if huge:
+            raise ConfigError(f"alpha {huge[0]:g} is too large: the predicted centers shift "
+                              f"by its square, which overflows a float")
         if self.realizations < 1:
             raise ConfigError(f"realization count must be positive, got {self.realizations}")
         if min(self.bins, self.re_bins, self.im_bins) < 1:
@@ -220,7 +224,10 @@ class OutputTracker:
 
     def __init__(self, out_dir: str):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.dir}: {exc.strerror}") from exc
         self.files: dict[str, str] = {}
 
     def write_text(self, name: str, text: str) -> None:
@@ -516,11 +523,14 @@ def _beta_worker(rz: Realization) -> dict:
     def read(beta: float, spectrum: Spectrum) -> dict:
         eigs = spectrum.eigenvalues
         labels = ["steady" if abs(v) < STEADY_TOL else _EMPTY for v in eigs]
-        return {
-            "rows": _eigen_rows(rz.cfg.seed, beta, eigs, labels, None, None, rz.cfg.sites),
-            "mean_re": float(eigs.real.mean()),
-            "std_im": float(eigs.imag.std()),
-        }
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = {"mean_re": float(eigs.real.mean()), "std_im": float(eigs.imag.std())}
+        if not all(map(math.isfinite, summary.values())):
+            values = ", ".join(f"{name} = {value:g}" for name, value in summary.items())
+            raise NumericalError(f"the spectrum at beta {beta:g} has a non-finite summary: "
+                                 f"{values}")
+        return {"rows": _eigen_rows(rz.cfg.seed, beta, eigs, labels, None, None, rz.cfg.sites),
+                **summary}
 
     return rz.spectra(read)
 

@@ -93,7 +93,7 @@ class KossakowskiSample:
 
     ``k_matrix`` is Hermitian PSD with trace 2^num_sites; ``d_diag`` holds the
     eigenvalues it was built from (uniform, rescaled).  Row/column order is
-    the jump-channel order of ``enumerate_basis(num_sites, k_max, 1)``.
+    the jump-channel order, that of ``PauliBasis(num_sites, k_max, 1).keys``.
     """
 
     num_sites: int
@@ -110,10 +110,6 @@ class KossakowskiSample:
             )
         if self.d_diag.shape != (n,):
             raise ValueError(f"d_diag shape {self.d_diag.shape} does not match {n} channels")
-
-    @property
-    def jump_dimension(self) -> int:
-        return self.k_matrix.shape[0]
 
 
 def sample_kossakowski(

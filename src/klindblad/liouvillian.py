@@ -134,7 +134,7 @@ def _validate_coupling(k_matrix: np.ndarray) -> None:
 
 
 # Columns per block of the dissipator write; the per-block temporaries are
-# a few (product strings x block) arrays, about 1.2 MB at 5 sites and 2.8 MB
+# a few (product strings x block) arrays, about 1.1 MB at 5 sites and 2.4 MB
 # at 6 (traced).  They stay in the writing thread's heap while another thread
 # solves, so the block is kept small: 32 columns add 0.7 MB to a 5-site run's
 # peak and save no measurable time, 16 save no memory and cost time.
@@ -194,13 +194,13 @@ def _write_dissipator(factor: DissipatorFactor, scale: float, out: np.ndarray) -
     column, read with its exponent from the basis's key tables.  An
     imaginary residue above 1e-10 (a non-Hermitian K) raises
     :class:`NumericalError`."""
-    basis, jx, jz = factor.basis, factor.jumps.x_array[:, None], factor.jumps.z_array[:, None]
+    basis, jumps = factor.basis, factor.jumps.keys[:, None]
     m = factor.products.size
     key_c = basis.keys[factor.products, None]
     residue = 0.0
     for lo in range(0, len(basis), _BLOCK):
         cols = np.arange(lo, min(lo + _BLOCK, len(basis)))
-        signs = 1.0 - 2.0 * anticommutes(jx, jz, basis.x_array[cols], basis.z_array[cols])
+        signs = 1.0 - 2.0 * anticommutes(jumps, basis.keys[cols], basis.num_sites)
         stacked = factor.w_stacked @ signs
         a = 1j * stacked[m:]  # joined in place: one complex block fewer at once
         a += stacked[:m]
@@ -211,6 +211,7 @@ def _write_dissipator(factor: DissipatorFactor, scale: float, out: np.ndarray) -
         a *= np.take(PHASES, exponent)
         residue = max(residue, float(np.abs(a.imag).max()))
         out[rows, cols] = scale * a.real
+        del a, rows, exponent  # not alive beside the next block's temporaries
     if residue > 1e-10:
         raise NumericalError(f"imaginary residue {residue:.3e} exceeds 1e-10")
 
@@ -295,8 +296,8 @@ def string_basis_matrix(basis: PauliBasis) -> "scipy.sparse.csc_matrix":
 
     dim = 1 << basis.num_sites
     n = len(basis)
-    images, values = basis_state_images(basis.x_array, basis.z_array, basis.num_sites)
-    rows = (np.arange(dim) * dim + images.astype(np.int64)).ravel()
+    images, values = basis_state_images(basis.keys, basis.num_sites)
+    rows = (np.arange(dim) * dim + images).ravel()
     data = values.ravel() / sqrt(dim)
     indptr = np.arange(0, n * dim + 1, dim)
     return sp.csc_matrix((data, rows, indptr), shape=(dim * dim, n))

@@ -7,7 +7,9 @@ column-stacking, vec(A rho B) = (B^T kron A) vec(rho).  They form complex
 memory-hungry above 5 sites; ``real_pauli`` rotates their output into the
 production representation, and ``vec_identity`` is the column-stacked trace
 functional.  ``from_label`` parses the labels the tests write strings in,
-and ``product_exponent`` and ``lookup`` are the product rule over uint64 bit
+``enumerate_basis`` lists strings in the order of ``PauliBasis.keys`` by
+nested loops, ``strings`` turns a basis's keys back into strings, and
+``product_exponent`` and ``lookup`` are the product rule over uint64 bit
 arrays that ``PauliBasis.product`` reads from its key tables.
 The rest are the paper's claims that no subcommand reports (the
 mode-expansion evolution, one Hamiltonian's second-order shift, the
@@ -17,6 +19,7 @@ whose streamed form the manifest digests.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from math import sqrt
 from typing import Optional, Sequence, Union
 
@@ -47,6 +50,28 @@ def from_label(label: str) -> PauliString:
         raise ValueError(f"invalid Pauli letter in {label!r}") from None
 
 
+def enumerate_basis(
+    num_sites: int, max_weight: Optional[int] = None, min_weight: int = 0
+) -> list[PauliString]:
+    """All strings with min_weight <= weight <= max_weight, weight-major,
+    then lexicographic in the (site, letter) sequence with X < Y < Z: the
+    order ``PauliBasis`` builds its keys in."""
+    if max_weight is None:
+        max_weight = num_sites
+    out = []
+    for k in range(min_weight, max_weight + 1):
+        for sites in combinations(range(num_sites), k):
+            for letters in product("XYZ", repeat=k):
+                out.append(PauliString.from_site_letters(num_sites, list(zip(sites, letters))))
+    return out
+
+
+def strings(basis: PauliBasis) -> list[PauliString]:
+    """The strings of a basis, in its order, from their keys (x << l) | z."""
+    n = basis.num_sites
+    return [PauliString(n, int(key) >> n, int(key) & ((1 << n) - 1)) for key in basis.keys]
+
+
 def product_exponent(x1, z1, x2, z2) -> np.ndarray:
     """e with S_1 S_2 = i^e S_{1 xor 2}, broadcast over uint64 bit arrays:
     the rule of ``PauliBasis.product`` with all four |x.z| counts taken from
@@ -58,11 +83,10 @@ def product_exponent(x1, z1, x2, z2) -> np.ndarray:
 
 def lookup(basis: PauliBasis, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Index in ``basis`` of each string (x, z) of broadcast uint64 bit
-    arrays, -1 outside it, by a sorted search over the basis's bit arrays."""
-    shift = np.uint64(basis.num_sites)
-    own = (basis.x_array << shift) | basis.z_array
+    arrays, -1 outside it, by a sorted search over the basis's keys."""
+    own = basis.keys.astype(np.uint64)
     order = np.argsort(own)
-    want = (np.asarray(x, np.uint64) << shift) | np.asarray(z, np.uint64)
+    want = (np.asarray(x, np.uint64) << np.uint64(basis.num_sites)) | np.asarray(z, np.uint64)
     at = np.minimum(np.searchsorted(own[order], want), len(own) - 1)
     return np.where(own[order][at] == want, order[at], -1)
 
@@ -76,7 +100,7 @@ def vec_identity(num_sites: int) -> np.ndarray:
 def jump_stack(jumps: PauliBasis) -> np.ndarray:
     """Dense jump operators, ``stack[n]`` = strings[n] / sqrt(2^l)."""
     norm = sqrt(2.0**jumps.num_sites)
-    return np.array([to_dense(s) / norm for s in jumps])
+    return np.array([to_dense(s) / norm for s in strings(jumps)])
 
 
 def build_dissipator(

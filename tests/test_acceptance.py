@@ -90,15 +90,14 @@ def linear_fit(xs, ys):
 
 def test_a01_string_algebra_matches_dense_exhaustively():
     # the rules the builders run: the product over the keys of the complete
-    # basis, where the uint8 sum wraps below zero, and the commutation test
-    # over its uint64 bit arrays
+    # basis, where the exponent's sum falls below zero, and the commutation
+    # test over the same keys
     start = time.monotonic()
     for num_sites in (2, 3):
         basis = PauliBasis(num_sites)
-        x, z = basis.x_array, basis.z_array
         image, exponent = basis.product(basis.keys[:, None], basis.keys)
-        anti = anticommutes(x[:, None], z[:, None], x, z)
-        dense = [to_dense(s) for s in basis]
+        anti = anticommutes(basis.keys[:, None], basis.keys, num_sites)
+        dense = [to_dense(s) for s in oracle.strings(basis)]
         dim = 2**num_sites
         for i in range(len(basis)):
             for j in range(len(basis)):
@@ -121,7 +120,7 @@ def test_a02_mean_coupling_dissipator_diagonal(num_sites):
     k_mean = np.eye(n_jumps) * (2.0**num_sites / n_jumps)
     mat = build_dissipator(k_mean, jumps, basis).matrix
     assert np.abs(mat - np.diag(np.diag(mat))).max() < 1e-10
-    targets = np.array([lambda0(s.weight, num_sites) for s in basis])
+    targets = np.array([lambda0(w, num_sites) for w in basis.weight_array])
     assert np.abs(np.diag(mat) - targets).max() < 1e-10
 
 

@@ -312,6 +312,17 @@ def test_non_finite_hamiltonian_exits_4(tmp_path, monkeypatch):
                "--out", tmp_path / "run") == 4
 
 
+def test_infinite_summary_exits_4(tmp_path, capsys):
+    # at beta 1e300 the eigenvalues are finite but the spread of their
+    # imaginary parts overflows; no summary row may read inf
+    assert run("sweep-beta", "--sites", 2, "--beta", "1e300", "--seed", 1,
+               "--out", tmp_path / "run") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "std_im = inf" in err
+    assert not (tmp_path / "run" / "summary_beta.csv").exists()
+
+
 # --- csr --------------------------------------------------------------------
 
 
@@ -550,14 +561,24 @@ SWEEP = ["sweep-beta", "--seed", 1]
         pytest.param({}, ["csr", "--seed", 1, "--unitary-only"], id="unitary-only-with-alphas"),
         pytest.param({"alphas": None}, ["csr", "--seed", 1, "--unitary-only", "--beta", 0.1],
                      id="unitary-only-with-betas"),
+        pytest.param({}, ["spectrum", "--sites", 2, "--alpha", "1e155", "--seed", 1],
+                     id="huge-alpha"),
+        pytest.param({}, [*HEISENBERG, "--sites", 3, "--alpha", "1,1e155"],
+                     id="huge-alpha-in-a-list"),
+        pytest.param({}, ["csr", "--seed", 1, "--out", "file"], id="out-is-a-file"),
+        pytest.param({}, ["csr", "--seed", 1, "--out", "file/run"], id="out-under-a-file"),
     ],
 )
-def test_configuration_errors_exit_2(tmp_path, capsys, settings, args):
+def test_configuration_errors_exit_2(tmp_path, capsys, monkeypatch, settings, args):
+    # relative to tmp_path, "file" names a regular file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sites": 3, "alphas": [0.1], **settings}))
     command, *flags = args
-    assert run(command, "--config", cfg, *flags, "--out", tmp_path / "run") == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert run(command, "--config", cfg, "--out", tmp_path / "run", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_file_must_hold_an_object(tmp_path):

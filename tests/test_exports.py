@@ -1,5 +1,6 @@
 """Every name a module exports through ``__all__`` exists on that module and
-is used by the package, and every function the benchmark's layer tracer
+is used by the package, every public method or property of a package class
+is read by the package, and every function the benchmark's layer tracer
 wraps still exists.  A name that only tests call belongs in ``oracle.py``."""
 
 import ast
@@ -48,6 +49,24 @@ def test_exported_names_are_used_in_the_package():
     unused = [f"{module}.{name}" for module, names in exported.items() for name in names
               if name not in loaded and (module, name) not in traced]
     assert unused == []
+
+
+def test_public_methods_are_read_in_the_package():
+    # a method or property counts as read where an attribute of its name is
+    # loaded in any module; the tracer's wrapped methods are exempt
+    methods, read = [], set()
+    for path in sorted((ROOT / "src" / "klindblad").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                methods += [(path.stem, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    traced = {(module, path)
+              for module, functions, _ in _tracer_layers().values() for path in functions}
+    unread = [f"{module}.{name}" for module, name in methods
+              if name.split(".")[1] not in read and (module, name) not in traced]
+    assert unread == []
 
 
 def test_benchmark_tracer_layers_resolve():

@@ -14,15 +14,15 @@ from hypothesis import strategies as st
 
 from klindblad.errors import ResourceLimitError
 from klindblad.pauli import (
+    KEY,
     PHASES,
     PauliBasis,
     PauliString,
     anticommutes,
-    enumerate_basis,
     sector_dimension,
     to_dense,
 )
-from oracle import from_label, lookup, product_exponent
+from oracle import enumerate_basis, from_label, lookup, product_exponent, strings
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -44,14 +44,14 @@ def random_string(rng: np.random.Generator, num_sites: int) -> PauliString:
     return PauliString(num_sites, int(rng.integers(top)), int(rng.integers(top)))
 
 
-def bit_arrays(p: PauliString, q: PauliString) -> list[np.ndarray]:
-    """(x_p, z_p, x_q, z_q) as one-element uint64 arrays for the broadcast rules."""
-    return [np.array([v], dtype=np.uint64) for v in (p.x_bits, p.z_bits, q.x_bits, q.z_bits)]
-
-
 @lru_cache
 def complete_basis(num_sites: int) -> PauliBasis:
     return PauliBasis(num_sites)
+
+
+@lru_cache
+def complete_strings(num_sites: int) -> list[PauliString]:
+    return strings(complete_basis(num_sites))
 
 
 def times(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
@@ -59,11 +59,11 @@ def times(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
     ``PauliBasis.product`` on one-element key arrays."""
     basis = complete_basis(p.num_sites)
     row, exponent = basis.product(np.array([p.key]), q.key)
-    return complex(PHASES[exponent[0]]), basis[int(row[0])]
+    return complex(PHASES[exponent[0]]), complete_strings(p.num_sites)[row[0]]
 
 
 def anticommute(p: PauliString, q: PauliString) -> bool:
-    return bool(anticommutes(*bit_arrays(p, q))[0])
+    return bool(anticommutes(np.array([p.key]), q.key, p.num_sites)[0])
 
 
 # ---------------------------------------------------------------- encoding
@@ -100,7 +100,7 @@ def test_invalid_inputs_rejected():
 
 def test_weight_counts_non_identity_sites():
     assert from_label("IXIZ").weight == 2
-    assert PauliString.identity(5).weight == 0
+    assert PauliString(5, 0, 0).weight == 0
     assert from_label("YYY").weight == 3
 
 
@@ -191,7 +191,7 @@ def test_multiply_group_properties(num_sites, data):
     r = PauliString(num_sites, data.draw(bits), data.draw(bits))
 
     # self-inverse with no phase
-    assert times(p, p) == (1, PauliString.identity(num_sites))
+    assert times(p, p) == (1, PauliString(num_sites, 0, 0))
 
     # associativity including the accumulated scalar
     pq_phase, pq = times(p, q)
@@ -231,7 +231,7 @@ def test_sector_dimension_closed_form():
 
 def test_enumeration_order_contract():
     """Weight-major, sites lexicographic, letters X < Y < Z."""
-    labels = [s.to_label() for s in enumerate_basis(2)]
+    labels = [s.to_label() for s in strings(PauliBasis(2))]
     assert labels == [
         "II",
         "XI", "YI", "ZI", "IX", "IY", "IZ",
@@ -240,24 +240,48 @@ def test_enumeration_order_contract():
 
 
 def test_enumeration_counts_and_windows():
-    assert len(enumerate_basis(4)) == 256
-    assert len(enumerate_basis(4, max_weight=2)) == 1 + 12 + 54
-    assert len(enumerate_basis(4, max_weight=2, min_weight=1)) == 66
+    assert len(PauliBasis(4)) == 256
+    assert len(PauliBasis(4, max_weight=2)) == 1 + 12 + 54
+    assert len(PauliBasis(4, max_weight=2, min_weight=1)) == 66
     with pytest.raises(ValueError):
-        enumerate_basis(3, max_weight=4)
+        PauliBasis(3, max_weight=4)
     with pytest.raises(ValueError):
-        enumerate_basis(3, max_weight=1, min_weight=2)
+        PauliBasis(3, max_weight=1, min_weight=2)
+
+
+@pytest.mark.parametrize("num_sites", range(1, 7))
+def test_keys_follow_the_reference_order_in_every_window(num_sites):
+    for max_weight in range(num_sites + 1):
+        for min_weight in range(max_weight + 1):
+            basis = PauliBasis(num_sites, max_weight, min_weight)
+            listed = enumerate_basis(num_sites, max_weight, min_weight)
+            assert basis.keys.tolist() == [s.key for s in listed]
+            assert basis.weight_array.tolist() == [s.weight for s in listed]
+
+
+@pytest.mark.parametrize("num_sites", [2, 3, 4])
+def test_key_anticommutes_equals_bit_rule(num_sites):
+    # every pair of strings: the parity of |x_a.z_b| + |z_a.x_b| over the
+    # reference's uint64 bit arrays
+    listed = enumerate_basis(num_sites)
+    x = np.array([s.x_bits for s in listed], dtype=np.uint64)
+    z = np.array([s.z_bits for s in listed], dtype=np.uint64)
+    count = np.bitwise_count
+    want = (count(x[:, None] & z) + count(z[:, None] & x)) & 1
+    keys = PauliBasis(num_sites).keys
+    assert np.array_equal(anticommutes(keys[:, None], keys, num_sites), want)
 
 
 def test_basis_indexing_and_sectors():
     basis = PauliBasis(3)
     assert len(basis) == 64
-    for i, s in enumerate(basis):
+    listed = strings(basis)
+    assert listed == enumerate_basis(3)
+    for i, s in enumerate(listed):
         assert basis.index_of(s) == i
-        assert basis[i] == s
     sec = basis.sector(2)
     assert sec.stop - sec.start == sector_dimension(3, 2)
-    assert all(basis[i].weight == 2 for i in range(sec.start, sec.stop))
+    assert all(s.weight == 2 for s in listed[sec])
     assert np.array_equal(basis.weight_array[sec], np.full(27, 2))
     assert list(basis.weights()) == [0, 1, 2, 3]
 
@@ -266,8 +290,7 @@ def test_basis_membership_and_errors():
     basis = PauliBasis(3, max_weight=2)
     inside = from_label("XXI")
     outside = from_label("XXX")
-    assert inside in basis
-    assert outside not in basis
+    assert strings(basis)[basis.index_of(inside)] == inside
     with pytest.raises(KeyError):
         basis.index_of(outside)
     with pytest.raises(ValueError):
@@ -287,7 +310,7 @@ def test_vectorized_lookup_agrees_with_index_of():
         assert got.dtype == np.int64
         assert np.array_equal(lookup(basis, xs, zs), got)
         for s, idx in zip(strings, got):
-            if s in basis:
+            if s.weight <= basis.max_weight:
                 assert idx == basis.index_of(s)
             else:
                 assert idx == -1
@@ -299,21 +322,23 @@ def test_key_product_equals_lookup_and_product_exponent(num_sites):
     # exponent of the uint64 bit-array rule, in the complete basis and in a
     # window
     full = PauliBasis(num_sites)
-    x, z = full.x_array, full.z_array
-    assert full.keys.dtype == np.int32
+    listed = enumerate_basis(num_sites)
+    x = np.array([s.x_bits for s in listed], dtype=np.uint64)
+    z = np.array([s.z_bits for s in listed], dtype=np.uint64)
+    assert full.keys.dtype == KEY
     assert np.array_equal(full.keys, (x << np.uint64(num_sites)) | z)
-    assert [s.key for s in full] == full.keys.tolist()
+    assert [s.key for s in listed] == full.keys.tolist()
     want = product_exponent(x[:, None], z[:, None], x, z)
     for basis in (full, PauliBasis(num_sites, max_weight=2, min_weight=1)):
         rows, exponent = basis.product(full.keys[:, None], full.keys)
         assert rows.shape == exponent.shape == (4**num_sites, 4**num_sites)
         assert np.array_equal(rows, lookup(basis, x[:, None] ^ x, z[:, None] ^ z))
-        assert exponent.dtype == np.uint8 and np.array_equal(exponent, want)
+        assert exponent.dtype == KEY and np.array_equal(exponent, want)
 
 
 def test_bit_arrays_are_frozen():
     basis = PauliBasis(2)
     with pytest.raises(ValueError):
-        basis.x_array[0] = 1
+        basis.weight_array[0] = 1
     with pytest.raises(ValueError):
         basis.keys[0] = 1

@@ -42,7 +42,8 @@ def brute_force_h_count(k: int, k_prime: int, num_sites: int) -> int:
     """
     from itertools import combinations, product
 
-    from klindblad.pauli import PauliString, anticommutes, enumerate_basis
+    from klindblad.pauli import PauliString, anticommutes
+    from oracle import enumerate_basis
 
     counts = set()
     for s in enumerate_basis(num_sites, max_weight=k, min_weight=k):
@@ -52,7 +53,7 @@ def brute_force_h_count(k: int, k_prime: int, num_sites: int) -> int:
                 term = PauliString.from_site_letters(num_sites, list(zip(sites, letters)))
                 product_string = PauliString(
                     num_sites, term.x_bits ^ s.x_bits, term.z_bits ^ s.z_bits)
-                if (anticommutes(term.x_bits, term.z_bits, s.x_bits, s.z_bits)
+                if (anticommutes(term.key, s.key, num_sites)
                         and product_string.weight == k_prime):
                     n += 1
         counts.add(n)

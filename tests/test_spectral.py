@@ -522,7 +522,7 @@ def test_diagonal_dissipator_modes_are_weight_pure():
     num_sites = 3
     basis = PauliBasis(num_sites)
     k = sample_kossakowski(num_sites, 2, seed=4)
-    flat = np.eye(k.jump_dimension) * 2.0**num_sites / k.jump_dimension
+    flat = np.eye(k.k_matrix.shape[0]) * 2.0**num_sites / k.k_matrix.shape[0]
     l_d = build_dissipator(flat, jump_operator_set(num_sites, 2), basis)
     spec = diagonalize(l_d)
     profiles, _, _ = weight_profiles(spec, basis)
@@ -577,7 +577,7 @@ def test_operator_overlap_properties():
 
 def dense_operator(coeffs, basis):
     op = np.zeros((2**basis.num_sites, 2**basis.num_sites), dtype=complex)
-    for i, s in enumerate(basis):
+    for i, s in enumerate(oracle.strings(basis)):
         if coeffs[i] != 0.0:
             op += coeffs[i] * to_dense(s)
     return op
