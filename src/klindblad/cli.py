@@ -37,7 +37,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, partial
 from pathlib import Path
@@ -102,8 +101,8 @@ MIN_SITES = {RANDOM_ALL_TO_ALL: 2, HEISENBERG_PBC: HEISENBERG_MIN_SITES}
 # Without --allow-large a run that builds a generator, 4^l on a side, has at
 # most 6 sites.  Every run samples and digests K, an n x n Haar matrix over
 # the n jump channels, superoperator or not, so n is capped at what 6 sites
-# admit: 4^6 - 1 = 4095 at k_max = 6, where K takes 268 MB and its digest,
-# hashed 64 rows at a time, about 110 MB more (27 MB at 1023 channels).
+# admit: 4^6 - 1 = 4095 at k_max = 6, where K takes 268 MB.  Its digest
+# hashes one row at a time (0.66 MB traced at 1023 channels).
 MAX_SITES = 6
 MAX_CHANNELS = 4**MAX_SITES - 1
 
@@ -450,13 +449,20 @@ def _run_pool(analyze: Callable, cfg: ExperimentConfig) -> tuple[list[dict], lis
     its realization's L_U and factor of L_D, and each realization's ``map``
     is the builtin one.  With fewer, the realizations run in turn and each
     one's ``map`` is the pool's, over which ``Realization.spectra`` spreads
-    its couplings; nothing is submitted from inside the pool.  One worker
-    runs inline, where a tracer's span stack can follow the calls.
+    its couplings; nothing is submitted from inside the pool.  One worker,
+    or fewer realizations than workers with at most one coupling each to
+    solve (a single-coupling sweep, ``csr --unitary-only``), leaves no two
+    jobs to run at once: that runs inline, where a tracer's span stack can
+    follow the calls, and starts no pool.
     """
     indices = range(cfg.realizations)
-    if cfg.workers == 1:
+    couplings = cfg.alphas or cfg.betas or ()
+    if cfg.workers == 1 or (cfg.realizations < cfg.workers and len(couplings) < 2):
         pairs = [_realize(analyze, cfg, r) for r in indices]
     else:
+        # imported here: a run without a pool loads no concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             if cfg.realizations >= cfg.workers:
                 pairs = list(pool.map(partial(_realize, analyze, cfg), indices))
@@ -479,7 +485,9 @@ def _labelled_rows(
     if spectrum.has_modes:
         weights = profiles, _, overlaps = weight_profiles(spectrum, rz.basis, probe)
     eigs = spectrum.eigenvalues
-    report = cluster_by_centers(eigs, _centers_at(cfg.sites, cfg.k_max, alpha))
+    # a statistic that overflows is refused by the reader that writes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = cluster_by_centers(eigs, _centers_at(cfg.sites, cfg.k_max, alpha))
     labels = _labels_from_report(report, spectrum.dim)
     rows = _eigen_rows(cfg.seed, alpha, eigs, labels, profiles, overlaps, cfg.sites)
     return rows, report, weights
@@ -490,6 +498,11 @@ def _spectrum_worker(rz: Realization) -> dict:
 
     def read(alpha: float, spectrum: Spectrum) -> dict:
         rows, report, _ = _labelled_rows(rz, alpha, spectrum, probe)
+        bad = [c.label for c in report.clusters if c.center is not None and not all(
+            map(math.isfinite, (c.center.real, c.center.imag, c.std_re, c.std_im)))]
+        if bad:
+            raise NumericalError(f"the spectrum at alpha {alpha:g} has a non-finite center "
+                                 f"or spread in cluster {', '.join(map(repr, bad))}")
         rescale = 1.0 / alpha if alpha > 0 else None
         return {"rows": rows, "clusters": _cluster_payload(report, rescale)}
 
@@ -580,13 +593,15 @@ def cmd_csr(cfg: ExperimentConfig) -> int:
     if not cfg.unitary_only:
         cfg.require_alphas()
     out = OutputTracker(cfg.out)
-    models, results = _run_pool(_csr_worker, cfg)
+    # drawn before the solves, so that their temporaries are freed before,
+    # not stacked on, the solver memory the pool's threads keep
     rng = substream(cfg.seed, 0, STREAM_ANALYSIS)
     ginibre = csr_reference_ginibre(128, max(2, cfg.realizations), rng, bins=cfg.bins)
     geometry = "line" if cfg.unitary_only else "disk"
     poisson = csr_reference_poisson(
         128, max(2, cfg.realizations), rng, geometry=geometry, bins=cfg.bins
     )
+    models, results = _run_pool(_csr_worker, cfg)
     out.write_rows("csr_ginibre.csv", _HIST_HEADER, _hist_rows(ginibre))
     out.write_rows("csr_poisson.csv", _HIST_HEADER, _hist_rows(poisson))
     summary = {
@@ -811,19 +826,11 @@ def _write_manifest(
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     # thread count (1 under the pin), CPU kernel and build: each sets the bits
     threads, core, config = environment()
-    # read from the installed metadata, so that a run imports no scipy
-    # module; imported here, so that importing this module stays as fast
-    import importlib.metadata
-
-    try:
-        scipy_version = importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        scipy_version = None
+    # no scipy version: a run imports no scipy module, so none sets a bit
     manifest = {
         "version": __version__,
         "libraries": {
             "numpy": np.__version__,
-            "scipy": scipy_version,
             "blas": {
                 "name": blas.get("name"),
                 "version": blas.get("version"),
@@ -859,34 +866,39 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: they all take the same options."""
     parser = argparse.ArgumentParser(
         prog="klindblad",
         description="Reproducible spectral experiments on random Lindblad generators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON file with defaults; flags override")
-        p.add_argument("--sites", type=int)
-        p.add_argument("--kmax", type=int, dest="k_max")
-        p.add_argument("--alpha", type=_float_list, dest="alphas", metavar="LIST")
-        p.add_argument("--beta", type=_float_list, dest="betas", metavar="LIST")
-        p.add_argument("--realizations", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--hamiltonian", choices=[RANDOM_ALL_TO_ALL, HEISENBERG_PBC])
-        p.add_argument("--exact-h-norm", action="store_const", const=True, dest="exact_h_norm")
-        p.add_argument("--bins", type=int)
-        p.add_argument("--re-bins", type=int, dest="re_bins")
-        p.add_argument("--im-bins", type=int, dest="im_bins")
-        p.add_argument("--min-ratios", type=int, dest="min_ratios")
-        p.add_argument("--window", type=float)
-        p.add_argument("--weight-threshold", type=float, dest="weight_threshold")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--allow-large", action="store_const", const=True, dest="allow_large")
-        p.add_argument("--unitary-only", action="store_const", const=True, dest="unitary_only")
-        p.add_argument("--rescale-im", action="store_const", const=True, dest="rescale_im")
-        p.add_argument("--gnuplot", action="store_const", const=True, dest="gnuplot")
+
+    def error(message: str):
+        # a bad command line is a configuration error: exit 2, one line
+        raise ConfigError(f"{message}; see {parser.prog} --help")
+
+    parser.error = error
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON file with defaults; flags override")
+    parser.add_argument("--sites", type=int)
+    parser.add_argument("--kmax", type=int, dest="k_max")
+    parser.add_argument("--alpha", type=_float_list, dest="alphas", metavar="LIST")
+    parser.add_argument("--beta", type=_float_list, dest="betas", metavar="LIST")
+    parser.add_argument("--realizations", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out")
+    parser.add_argument("--hamiltonian", choices=[RANDOM_ALL_TO_ALL, HEISENBERG_PBC])
+    parser.add_argument("--exact-h-norm", action="store_const", const=True, dest="exact_h_norm")
+    parser.add_argument("--bins", type=int)
+    parser.add_argument("--re-bins", type=int, dest="re_bins")
+    parser.add_argument("--im-bins", type=int, dest="im_bins")
+    parser.add_argument("--min-ratios", type=int, dest="min_ratios")
+    parser.add_argument("--window", type=float)
+    parser.add_argument("--weight-threshold", type=float, dest="weight_threshold")
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--allow-large", action="store_const", const=True, dest="allow_large")
+    parser.add_argument("--unitary-only", action="store_const", const=True, dest="unitary_only")
+    parser.add_argument("--rescale-im", action="store_const", const=True, dest="rescale_im")
+    parser.add_argument("--gnuplot", action="store_const", const=True, dest="gnuplot")
     return parser
 
 
@@ -943,8 +955,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _build_config(args)
         with one_blas_thread():
             return _COMMANDS[args.command](cfg)

@@ -4,7 +4,6 @@ and the byte-level reproducibility contract."""
 import csv
 import ctypes
 import hashlib
-import importlib.metadata
 import json
 import os
 import subprocess
@@ -85,9 +84,8 @@ def test_manifest_records_numeric_environment(tmp_path, monkeypatch):
     assert manifest["libraries"]["blas"] == {
         "name": blas["name"], "version": blas["version"], "threads": pinned,
         "core": strings[0], "config": strings[1]}
-    # looked up without importing scipy, with its own version string
-    import scipy
-    assert manifest["libraries"]["scipy"] == scipy.__version__
+    # a run imports no scipy, so no scipy version is recorded
+    assert set(manifest["libraries"]) == {"numpy", "blas"}
     threads = manifest["blas_threads"]
     assert threads["OMP_NUM_THREADS"] == "3"
     assert threads["MKL_NUM_THREADS"] is None
@@ -100,16 +98,6 @@ def test_manifest_without_numpy_openblas_records_null(tmp_path, monkeypatch):
     assert run("spectrum", "--sites", 2, "--seed", 11, "--alpha", "0", "--out", out) == 0
     blas = manifest_of(out)["libraries"]["blas"]
     assert blas["threads"] is blas["core"] is blas["config"] is None
-
-
-def test_manifest_without_scipy_records_null(tmp_path, monkeypatch):
-    def absent(name):
-        raise importlib.metadata.PackageNotFoundError(name)
-
-    monkeypatch.setattr(importlib.metadata, "version", absent)
-    out = tmp_path / "run"
-    assert run("spectrum", "--sites", 2, "--seed", 11, "--alpha", "0", "--out", out) == 0
-    assert manifest_of(out)["libraries"]["scipy"] is None
 
 
 def test_spectrum_byte_reproducibility(tmp_path):
@@ -310,6 +298,17 @@ def test_non_finite_hamiltonian_exits_4(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "sample_random_hamiltonian", non_finite)
     assert run("sweep-beta", "--sites", 3, "--seed", 1, "--beta", 0,
                "--out", tmp_path / "run") == 4
+
+
+def test_infinite_cluster_statistics_exit_4(tmp_path, capsys):
+    # at alpha 1e154 the spread of a cluster's imaginary parts overflows; no
+    # cluster file may read Infinity, which is not JSON
+    out = tmp_path / "run"
+    assert run("spectrum", "--sites", 2, "--alpha", "1e154", "--seed", 1, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "alpha 1e+154" in err
+    assert not list(out.glob("clusters_*"))
 
 
 def test_infinite_summary_exits_4(tmp_path, capsys):
@@ -567,6 +566,8 @@ SWEEP = ["sweep-beta", "--seed", 1]
                      id="huge-alpha-in-a-list"),
         pytest.param({}, ["csr", "--seed", 1, "--out", "file"], id="out-is-a-file"),
         pytest.param({}, ["csr", "--seed", 1, "--out", "file/run"], id="out-under-a-file"),
+        pytest.param({}, [], id="no-command"),
+        pytest.param({}, ["nonsense", "--seed", 1], id="unknown-command"),
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, monkeypatch, settings, args):
@@ -575,10 +576,21 @@ def test_configuration_errors_exit_2(tmp_path, capsys, monkeypatch, settings, ar
     (tmp_path / "file").write_text("")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sites": 3, "alphas": [0.1], **settings}))
-    command, *flags = args
-    assert run(command, "--config", cfg, "--out", tmp_path / "run", *flags) == 2
+    assert run(*args[:1], "--config", cfg, "--out", tmp_path / "run", *args[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_command_lists_the_same_options(capsys):
+    listed = []
+    for command in cli._COMMANDS:
+        with pytest.raises(SystemExit) as exit_info:
+            run(command, "--help")
+        assert exit_info.value.code == 0
+        listed.append(sorted(word for word in capsys.readouterr().out.split()
+                             if word.startswith("--")))
+    assert "--seed" in listed[0] and "--gnuplot" in listed[0]
+    assert all(options == listed[0] for options in listed)
 
 
 def test_config_file_must_hold_an_object(tmp_path):
@@ -876,7 +888,7 @@ def test_module_entry_point(tmp_path):
 
 def test_runs_import_no_scipy_sparse_stats_or_linalg(tmp_path):
     # a fresh interpreter, since this suite's own imports load scipy; a run
-    # loads no scipy module at all, not even for the manifest's version
+    # loads no scipy module at all
     runs = [
         ["csr", "--alpha", "0.5", "--realizations", "2"],
         ["csr", "--unitary-only", "--min-ratios", "3"],
@@ -900,3 +912,24 @@ def test_runs_import_no_scipy_sparse_stats_or_linalg(tmp_path):
     assert [json.loads(line) for line in result.stdout.splitlines()] == [
         [args, 0, []] for args in runs
     ]
+
+
+def test_single_job_run_loads_no_pool_or_package_metadata(tmp_path):
+    # a fresh interpreter, since this suite's own imports load these modules;
+    # one realization at one beta leaves a second worker nothing to run, so
+    # the run starts no pool, and the manifest reads no package metadata
+    script = (
+        "import json, sys\n"
+        "from klindblad.cli import main\n"
+        "code = main(['sweep-beta', '--sites', '3', '--beta', '0', '--seed', '1',\n"
+        "             '--workers', '2', '--out', sys.argv[1]])\n"
+        "names = ['importlib.metadata', 'concurrent.futures', 'scipy']\n"
+        "print(json.dumps([code, [name for name in names if name in sys.modules]]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "two")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [0, []]
+    assert run("sweep-beta", "--sites", 3, "--beta", 0, "--seed", 1, "--workers", 1,
+               "--out", tmp_path / "one") == 0
+    assert manifest_of(tmp_path / "two")["files"] == manifest_of(tmp_path / "one")["files"]
